@@ -21,7 +21,7 @@ import numpy as np
 import scipy
 
 from . import (__version__, asymptotics, codim2, continuation, dynamics,
-               lattice, model, solver, spectral, studies)
+               lattice, model, solver, studies)
 from .model import PatternId, UBAR, VBAR
 
 
@@ -87,15 +87,20 @@ def _grid_args(cfg):
     return n_d, symmetry
 
 
-def _pattern(run, symmetry):
+def _pattern(run, symmetry, n_d):
     spec = run.get("pattern")
     if not spec:
         raise ConfigError("run.pattern is required")
     try:
         variant = {"ubar": UBAR, "vbar": VBAR}[spec.get("variant", "ubar")]
-        return PatternId(int(spec["N"]), int(spec["M"]), variant, symmetry)
+        pattern = PatternId(int(spec["N"]), int(spec["M"]), variant, symmetry)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"invalid run.pattern: {exc}") from exc
+    if pattern.N > n_d:
+        raise ConfigError(
+            f"pattern exceeds domain: N={pattern.N} > N_d={n_d}"
+        )
+    return pattern
 
 
 def _write_manifest(out_dir, cfg, seed, t0, outputs):
@@ -120,13 +125,9 @@ def cmd_solve(cfg, out_dir, seed):
     nl = _nonlinearity(cfg)
     n_d, symmetry = _grid_args(cfg)
     run = cfg.get("run", {})
-    pattern = _pattern(run, symmetry)
+    pattern = _pattern(run, symmetry, n_d)
     mu = float(run.get("mu", 0.5))
     d = float(run.get("d", 0.0))
-    if pattern.N > n_d:
-        raise ConfigError(
-            f"pattern exceeds domain: N={pattern.N} > N_d={n_d}"
-        )
     u = studies.prepared_state(nl, pattern, mu, d, n_d)
     res = solver.residual(u, nl, mu, d).norm_inf()
     path = os.path.join(out_dir, "profile.json")
@@ -243,13 +244,9 @@ def cmd_simulate(cfg, out_dir, seed):
     nl = _nonlinearity(cfg)
     n_d, symmetry = _grid_args(cfg)
     run = cfg.get("run", {})
-    pattern = _pattern(run, symmetry)
+    pattern = _pattern(run, symmetry, n_d)
     mu = float(run.get("mu", 0.5))
     d = float(run.get("d", 1e-3))
-    if pattern.N > n_d:
-        raise ConfigError(
-            f"pattern exceeds domain: N={pattern.N} > N_d={n_d}"
-        )
     u = studies.prepared_state(nl, pattern, mu, d, n_d)
     amp = float(run.get("perturbation", 0.0))
     u0 = u.copy()
@@ -345,10 +342,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (solver.SolverError, continuation.CorrectorStalled,
-            continuation.RefinementFailed, spectral.FactorizationFailure,
-            spectral.AmbiguousCrossing, codim2.WrongNullity,
-            dynamics.StepUnderflow) as exc:
+    except solver.SolverError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     _write_manifest(out_dir, cfg, seed, t0, outputs)

@@ -16,76 +16,23 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import continuation, lattice, solver, spectral, studies
 from .lattice import Field
 
 SIGN_REPS = ("sign1", "sign2", "sign3")
 
+NoConvergence = solver.NoConvergence
 
-class NoConvergence(solver.NoConvergence):
+
+class WrongNullity(solver.SolverError):
     pass
-
-
-class WrongNullity(Exception):
-    pass
-
-
-def active_sites(grid, rep):
-    """Flat wedge indices where a rep-component field may be nonzero."""
-    chars = dict(zip(lattice.element_names(), spectral._CHARACTERS[rep]))
-    elems = lattice.group_elements(grid.symmetry)
-    names = lattice.element_names()
-    keep = []
-    for i, (n, m) in enumerate(grid.sites()):
-        ok = True
-        for name, g in zip(names, elems):
-            if lattice.apply_element(g, n, m) == (n, m) and chars[name] == -1:
-                ok = False
-                break
-        if ok:
-            keep.append(i)
-    return np.array(keep, dtype=int)
-
-
-def character_laplacian(grid, rep):
-    """Folded wedge Laplacian twisted by a one-dimensional character.
-
-    Out-of-wedge neighbors fold back with weight chi(g) of the folding
-    element; contributions landing on inactive sites vanish.  The operator
-    acts on fields restricted to the active sites.
-    """
-    if grid.kind != lattice.WEDGE:
-        raise ValueError("character laplacian expects a wedge grid")
-    act = active_sites(grid, rep)
-    pos = {int(i): k for k, i in enumerate(act)}
-    chars = spectral._CHARACTERS[rep]
-    n_d = grid.half_width
-    sites = grid.sites()
-    rows, cols, vals = [], [], []
-    for k, i in enumerate(act):
-        n, m = sites[i]
-        rows.append(k)
-        cols.append(k)
-        vals.append(-4.0)
-        for nn, mm in ((n + 1, m), (n - 1, m), (n, m + 1), (n, m - 1)):
-            (fn, fm), g_idx = lattice.fold_site((nn, mm), grid.symmetry)
-            if fn > n_d:
-                fn = n_d
-            j = grid.index(fn, fm)
-            if j in pos:
-                rows.append(k)
-                cols.append(pos[j])
-                vals.append(float(chars[g_idx]))
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(len(act), len(act)))
-    mat.sum_duplicates()
-    return mat, act
 
 
 def component_jacobian(values, grid, nonlinearity, mu, d, rep):
-    """Jacobian restricted to a sign-representation component."""
-    lap, act = character_laplacian(grid, rep)
+    """Jacobian restricted to the component of a one-dimensional
+    representation (``trivial`` gives the wedge Jacobian)."""
+    lap, act = lattice.character_laplacian(grid, rep)
     diag = sp.diags(nonlinearity.f_u(values[act], mu))
     return (d * lap + diag).tocsr(), act
 
@@ -93,7 +40,7 @@ def component_jacobian(values, grid, nonlinearity, mu, d, rep):
 def expand_component(vec, act, grid, rep):
     """Embed an active-site component vector as a full-square field."""
     full = lattice.full_square(grid.half_width, grid.symmetry)
-    chars = spectral._CHARACTERS[rep]
+    chars = lattice.CHARACTERS[rep]
     pos = {int(i): k for k, i in enumerate(act)}
     out = np.zeros(full.size)
     for i, (n, m) in enumerate(full.sites()):
@@ -110,21 +57,12 @@ def component_weights(grid, act):
 
 
 def smallest_component_eig(values, grid, nonlinearity, mu, d, rep):
-    """Eigenpair of the rep-component Jacobian nearest zero."""
+    """Eigenpair of the rep-component Jacobian nearest zero, with the vector
+    on the active sites in wedge (action) coordinates."""
     jac, act = component_jacobian(values, grid, nonlinearity, mu, d, rep)
     w = component_weights(grid, act)
-    sym = lattice.symmetric_form(jac, w)
-    vals = np.linalg.eigvalsh(sym.toarray()) if sym.shape[0] <= 700 else None
-    if vals is not None:
-        lam = vals[np.argmin(np.abs(vals))]
-        # vector via one shift-invert application
-        vecs_lam, vecs = np.linalg.eigh(sym.toarray())
-        k = int(np.argmin(np.abs(vecs_lam)))
-        vec = vecs[:, k] / np.sqrt(w)
-        return float(vecs_lam[k]), vec, act
-    lam_arr, vec_arr = spla.eigsh(sym, k=1, sigma=0.0)
-    vec = vec_arr[:, 0] / np.sqrt(w)
-    return float(lam_arr[0]), vec, act
+    vals, vecs = spectral.eigenpairs_near_zero(lattice.symmetric_form(jac, w))
+    return float(vals[0]), vecs[0] / np.sqrt(w), act
 
 
 @dataclass
@@ -147,28 +85,27 @@ def find_cusp(u0, mu0, d0, nonlinearity, rep, phi1=None, phi2=None,
 
     Unknowns (u, phi1, phi2, mu, d) with phi1 in the symmetric component and
     phi2 in the ``rep`` component; the two norm conditions close the square
-    system (orthogonality is automatic across components).  A Gauss-Newton
-    least-squares fallback on the same residual handles stalls.
+    system (orthogonality is automatic across components).  Steps are
+    backtracked (lengths 1 ... 2^-7) and confined to a trust region in
+    (mu, d).
 
     The two colliding null directions interact weakly through the lattice,
     so the second null residual bottoms out at a small but nonzero floor
-    (the avoided-crossing gap).  When ``stall_accept`` is set, a stalled
-    iteration with residual below it is accepted as the collision point and
-    the floor is recorded in ``null_residuals``.
+    (the avoided-crossing gap).  When ``stall_accept`` is set, an iteration
+    that stops short of ``tol`` (stalled, singular or out of steps) with
+    residual below it is accepted as the collision point and the floor is
+    recorded in ``null_residuals``.
     """
     grid = u0.grid
     n = grid.size
-    lap = lattice.laplacian_matrix(grid)
-    lap2, act = character_laplacian(grid, rep)
+    lap2, act = lattice.character_laplacian(grid, rep)
     n2 = len(act)
 
     vals = u0.values.copy()
     mu, d = float(mu0), float(d0)
     if phi1 is None:
-        jac_w = solver.jacobian_matrix(vals, grid, nonlinearity, mu, d)
-        _, vecs = spectral.smallest_eigenpairs_wedge(
-            jac_w, lattice.orbit_weights(grid), k=1)
-        phi1 = vecs[0]
+        _, phi1, _ = smallest_component_eig(vals, grid, nonlinearity, mu, d,
+                                            "trivial")
     phi1 = np.asarray(phi1, dtype=float).copy()
     phi1 /= np.linalg.norm(phi1)
     if phi2 is None:
@@ -177,85 +114,62 @@ def find_cusp(u0, mu0, d0, nonlinearity, rep, phi1=None, phi2=None,
     phi2 = np.asarray(phi2, dtype=float).copy()
     phi2 /= np.linalg.norm(phi2)
 
-    def residual(z):
-        u_, p1, p2, mu_, d_ = z
-        j1 = solver.jacobian_matrix(u_, grid, nonlinearity, mu_, d_)
-        j2 = (d_ * lap2 + sp.diags(nonlinearity.f_u(u_[act], mu_))).tocsr()
-        return np.concatenate([
-            solver.residual_values(u_, grid, nonlinearity, mu_, d_),
-            j1 @ p1,
-            j2 @ p2,
-            [p1 @ p1 - 1.0, p2 @ p2 - 1.0],
-        ]), j1, j2
-
     def unpack(zv):
         return (zv[:n], zv[n:2 * n], zv[2 * n:2 * n + n2],
                 float(zv[-2]), float(zv[-1]))
 
-    z = np.concatenate([vals, phi1, phi2, [mu, d]])
-    res, j1, j2 = residual(unpack(z))
-    fnorm = np.max(np.abs(res))
-    stalled = False
-    for _ in range(max_iters):
+    def residual(z):
         u_, p1, p2, mu_, d_ = unpack(z)
-        if fnorm <= tol:
-            break
-        fu_u = nonlinearity.f_uu(u_, mu_)
-        row1 = sp.hstack([
-            j1, sp.csr_matrix((n, n)), sp.csr_matrix((n, n2)),
-            sp.csr_matrix(nonlinearity.f_mu(u_, mu_) + np.zeros(n)).T,
-            sp.csr_matrix(lap @ u_).T,
+        j2, _ = component_jacobian(u_, grid, nonlinearity, mu_, d_, rep)
+        return np.concatenate([
+            solver.residual_values(u_, grid, nonlinearity, mu_, d_),
+            solver.jacobian_matrix(u_, grid, nonlinearity, mu_, d_) @ p1,
+            j2 @ p2,
+            [p1 @ p1 - 1.0, p2 @ p2 - 1.0],
         ])
-        row2 = sp.hstack([
-            sp.diags(fu_u * p1), j1, sp.csr_matrix((n, n2)),
-            sp.csr_matrix(nonlinearity.f_umu(u_, mu_) * p1).T,
-            sp.csr_matrix(lap @ p1).T,
-        ])
+
+    def step(z, F):
+        u_, p1, p2, mu_, d_ = unpack(z)
+        j2, _ = component_jacobian(u_, grid, nonlinearity, mu_, d_, rep)
+        # rows of F and J phi1 are the fold rows in both parameters; phi2
+        # enters neither
+        rows = solver.fold_rows(u_, p1, grid, nonlinearity, mu_, d_,
+                                ("mu", "d"))
+        for row in rows:
+            row.insert(2, None)
         d_act = sp.csr_matrix(
-            (fu_u[act] * p2, (np.arange(n2), act)), shape=(n2, n))
-        row3 = sp.hstack([
-            d_act, sp.csr_matrix((n2, n)), j2,
-            sp.csr_matrix(nonlinearity.f_umu(u_[act], mu_) * p2).T,
-            sp.csr_matrix(lap2 @ p2).T,
-        ])
-        row4 = sp.hstack([sp.csr_matrix((1, n)), sp.csr_matrix(2 * p1),
-                          sp.csr_matrix((1, n2 + 2))])
-        row5 = sp.hstack([sp.csr_matrix((1, 2 * n)), sp.csr_matrix(2 * p2),
-                          sp.csr_matrix((1, 2))])
-        big = sp.vstack([row1, row2, row3, row4, row5]).tocsc()
-        try:
-            step = spla.splu(big).solve(-res)
-        except RuntimeError:
-            step = None
-        if step is None or not np.all(np.isfinite(step)):
-            # Gauss-Newton trust-region fallback on the same residual
-            step, *_ = np.linalg.lstsq(big.toarray(), -res, rcond=None)
-        damp = 1.0
-        for _ in range(8):
-            z_try = z + damp * step
-            res_t, j1_t, j2_t = residual(unpack(z_try))
-            tnorm = np.max(np.abs(res_t))
-            if np.isfinite(tnorm) and tnorm < fnorm:
-                break
-            damp *= 0.5
-        else:
-            if stall_accept is not None and fnorm <= stall_accept:
-                stalled = True
-                break
-            raise NoConvergence(f"cusp iteration stalled at |res|={fnorm:.3e}")
-        z, res, fnorm = z_try, res_t, tnorm
-        j1, j2 = j1_t, j2_t
-        if (abs(unpack(z)[3] - mu0) > max_param_move
-                or abs(unpack(z)[4] - d0) > max_param_move
-                or unpack(z)[4] < d_min):
-            # d -> 0 is the decoupled line, where every single-cell root
-            # degeneracy masquerades as a collision
-            raise NoConvergence("cusp iteration left the trust region")
-    else:
-        if not (stall_accept is not None and fnorm <= stall_accept):
-            raise NoConvergence(f"cusp Newton did not converge: "
-                                f"|res|={fnorm:.3e}")
-        stalled = True
+            (nonlinearity.f_uu(u_, mu_)[act] * p2, (np.arange(n2), act)),
+            shape=(n2, n))
+        rows += [
+            [d_act, None, j2,
+             sp.csr_matrix(nonlinearity.f_umu(u_[act], mu_) * p2).T,
+             sp.csr_matrix(lap2 @ p2).T],
+            [None, sp.csr_matrix(2 * p1), None, None, None],
+            [None, None, sp.csr_matrix(2 * p2), None, None],
+        ]
+        return solver.lu_solve(sp.bmat(rows, format="csc"), -F)
+
+    def left_trust_region(z):
+        # d -> 0 is the decoupled line, where every single-cell root
+        # degeneracy masquerades as a collision
+        return (abs(z[-2] - mu0) > max_param_move
+                or abs(z[-1] - d0) > max_param_move or z[-1] < d_min)
+
+    def done(z, F):
+        return left_trust_region(z) or np.max(np.abs(F)) <= tol
+
+    stalled = False
+    try:
+        z, F, _ = solver.newton(residual, step,
+                                np.concatenate([vals, phi1, phi2, [mu, d]]),
+                                done, max_iters, halvings=7)
+        fnorm = np.max(np.abs(F))
+    except NoConvergence as exc:
+        if stall_accept is None or exc.norm > stall_accept:
+            raise
+        z, fnorm, stalled = exc.x, exc.norm, True
+    if left_trust_region(z):
+        raise NoConvergence("cusp iteration left the trust region")
 
     u_, p1, p2, mu_, d_ = unpack(z)
     p1 = p1 / np.linalg.norm(p1)
@@ -268,7 +182,7 @@ def find_cusp(u0, mu0, d0, nonlinearity, rep, phi1=None, phi2=None,
                                             d_, rep)
         p2 = vec2 / np.linalg.norm(vec2)
     j1 = solver.jacobian_matrix(u_, grid, nonlinearity, mu_, d_)
-    j2 = (d_ * lap2 + sp.diags(nonlinearity.f_u(u_[act], mu_))).tocsr()
+    j2, _ = component_jacobian(u_, grid, nonlinearity, mu_, d_, rep)
     null1 = float(np.max(np.abs(j1 @ p1)))
     null2 = float(np.max(np.abs(j2 @ p2)))
     effective_null_tol = max(null_tol, 3 * fnorm) if stalled else null_tol
@@ -294,71 +208,35 @@ def find_cusp(u0, mu0, d0, nonlinearity, rep, phi1=None, phi2=None,
                      null_residuals=(null1, null2))
 
 
-def _fold_polish(vals, phi, mu, d, grid, nonlinearity, iters=25,
-                 tol_res=1e-11, tol_null=1e-9):
-    """Newton on the fold system {F = 0, J phi = 0, <c,phi> = 1} at fixed d."""
-    n = grid.size
-    c = phi / (phi @ phi)
-    vals = vals.copy()
-    phi = phi.copy()
-    for _ in range(iters):
-        res = solver.residual_values(vals, grid, nonlinearity, mu, d)
-        jac = solver.jacobian_matrix(vals, grid, nonlinearity, mu, d)
-        jphi = jac @ phi
-        if (np.max(np.abs(res)) <= tol_res
-                and np.max(np.abs(jphi)) <= tol_null * np.linalg.norm(phi)):
-            break
-        fp = nonlinearity.f_mu(vals, mu) + np.zeros(n)
-        big = sp.vstack([
-            sp.hstack([jac, sp.csr_matrix((n, n)), sp.csr_matrix(fp).T]),
-            sp.hstack([sp.diags(nonlinearity.f_uu(vals, mu) * phi), jac,
-                       sp.csr_matrix(nonlinearity.f_umu(vals, mu) * phi).T]),
-            sp.hstack([sp.csr_matrix((1, n)), sp.csr_matrix(c),
-                       sp.csr_matrix((1, 1))]),
-        ]).tocsc()
-        rhs = -np.concatenate([res, jphi, [c @ phi - 1.0]])
-        try:
-            step = spla.splu(big).solve(rhs)
-        except RuntimeError:
-            break
-        if not np.all(np.isfinite(step)):
-            break
-        vals += step[:n]
-        phi += step[n:2 * n]
-        mu += step[-1]
-    return vals, phi / np.linalg.norm(phi), mu
+def _fold_polish(vals, phi, mu, d, grid, nonlinearity):
+    """Full-step Newton on the fold system at fixed d (25 steps at most).
 
-
-def full_nullity(u_wedge, nonlinearity, mu, d, tol=1e-6):
-    """Dimension of the near-null space of the full-square Jacobian.
-
-    At a collision point this counts the fold mode, the chosen-rep mode,
-    and the further corner-orbit modes (the two-dimensional-representation
-    copies of the colliding cell) that ride along at the same small scale.
+    Stops silently on failure and returns the last iterate.
     """
-    rep = spectral.unstable_count(u_wedge, nonlinearity, mu, d,
-                                  zero_tol=tol, want_vectors=False)
-    return rep.n_zero
+    try:
+        vals, phi, mu = continuation.fold_newton(
+            vals, phi, mu, d, phi / (phi @ phi), grid, nonlinearity,
+            tol_res=1e-11, tol_null=1e-9, max_iter=25, halvings=0)
+    except NoConvergence as exc:
+        n = grid.size
+        vals, phi, mu = exc.x[:n], exc.x[n:2 * n], exc.x[-1]
+    return vals, phi / np.linalg.norm(phi), mu
 
 
 def component_nullities(u_wedge, nonlinearity, mu, d, rep, tol=1e-6):
     """Near-zero eigenvalue counts of the trivial- and rep-component
     Jacobians (inertia of the shifted symmetric forms)."""
     grid = u_wedge.grid
-    j_triv = solver.jacobian_matrix(u_wedge.values, grid, nonlinearity, mu, d)
-    sym_t = lattice.symmetric_form(j_triv, lattice.orbit_weights(grid))
-    n = sym_t.shape[0]
-    above = spectral.eigencount_above(sym_t, tol)
-    below = n - spectral.eigencount_above(sym_t, -tol)
-    n_triv = n - above - below
     j_rep, act = component_jacobian(u_wedge.values, grid, nonlinearity, mu,
                                     d, rep)
-    sym_r = lattice.symmetric_form(j_rep, component_weights(grid, act))
-    m = sym_r.shape[0]
-    above = spectral.eigencount_above(sym_r, tol)
-    below = m - spectral.eigencount_above(sym_r, -tol)
-    n_rep = m - above - below
-    return n_triv, n_rep
+    counts = []
+    for jac, w in ((solver.jacobian_matrix(u_wedge.values, grid, nonlinearity,
+                                           mu, d), lattice.orbit_weights(grid)),
+                   (j_rep, component_weights(grid, act))):
+        sym = lattice.symmetric_form(jac, w)
+        counts.append(spectral.eigencount_above(sym, -tol)
+                      - spectral.eigencount_above(sym, tol))
+    return tuple(counts)
 
 
 def fold_curve_crossing(nonlinearity, N, n_d, symmetry=lattice.OFFSITE,
@@ -411,7 +289,7 @@ def fold_curve_crossing(nonlinearity, N, n_d, symmetry=lattice.OFFSITE,
 
 
 def cusp_sequence(n_range, nonlinearity, n_d=25, symmetry=lattice.OFFSITE,
-                  d_bracket=(0.04, 0.12), stall_accept=1e-3, verbose=False):
+                  d_bracket=(0.04, 0.12), stall_accept=1e-3):
     """Locate the isola-branch collision cusp for each pattern width N.
 
     Each collision sits where the rightmost-fold curve of u-bar(N,1) is
@@ -445,15 +323,11 @@ def cusp_sequence(n_range, nonlinearity, n_d=25, symmetry=lattice.OFFSITE,
                 cusp.label = (N, 1)
                 entry.update({"rep": cusp.rep, "nullity_check": True,
                               "null_floor": max(cusp.null_residuals)})
-            except (WrongNullity, NoConvergence) as exc:
+            except solver.SolverError as exc:
                 entry["polish_error"] = str(exc)
-        except (WrongNullity, NoConvergence, solver.SolverError,
-                continuation.RefinementFailed,
-                continuation.CorrectorStalled) as exc:
+        except solver.SolverError as exc:
             entry["error"] = str(exc)
         points.append(entry)
-        if verbose:
-            print(f"  N={N}: {entry}")
     fit = fit_geometric(points)
     return points, fit
 
@@ -482,13 +356,7 @@ def fit_geometric(points, trim=True):
                 (ds - d_inf - cd * rho_n) * 10.0,
             ])
 
-        rho0 = 0.5
-        dd = np.diff(ds)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = dd[1:] / dd[:-1]
-        ratios = ratios[np.isfinite(ratios) & (ratios > 0) & (ratios < 1)]
-        if len(ratios):
-            rho0 = float(np.clip(np.median(ratios), 0.05, 0.95))
+        rho0 = float(np.clip(_median_ratio(np.diff(ds), 0.5), 0.05, 0.95))
         theta0 = np.array([
             mus[-1], ds[-1], np.log(rho0),
             (mus[0] - mus[-1]) / rho0 ** ns[0],
@@ -524,11 +392,8 @@ def fit_geometric(points, trim=True):
         # degenerate fit (saturated or noisy tail): take the limit from the
         # final entries and the rate from the early differences
         mu_inf, d_inf = mus[-1], ds[-1]
-        dd = np.abs(np.diff(ds)) + np.abs(np.diff(mus))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = dd[1:] / dd[:-1]
-        ratios = ratios[np.isfinite(ratios) & (ratios > 0) & (ratios < 1)]
-        log_rho = np.log(float(np.median(ratios))) if len(ratios) else np.nan
+        log_rho = np.log(_median_ratio(
+            np.abs(np.diff(ds)) + np.abs(np.diff(mus)), np.nan))
     return {
         "mu_inf": float(mu_inf),
         "d_inf": float(d_inf),
@@ -536,3 +401,11 @@ def fit_geometric(points, trim=True):
         "n_points": len(kept),
         "fit_residual": float(np.sqrt(np.mean(per_point**2))),
     }
+
+
+def _median_ratio(diffs, default):
+    """Median ratio of successive differences within (0, 1), else default."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = diffs[1:] / diffs[:-1]
+    ratios = ratios[np.isfinite(ratios) & (ratios > 0) & (ratios < 1)]
+    return float(np.median(ratios)) if len(ratios) else default

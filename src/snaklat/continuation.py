@@ -15,32 +15,28 @@ import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import lattice, solver, spectral
 from .lattice import Field
 
 
-class CorrectorStalled(Exception):
+class CorrectorStalled(solver.SolverError):
     pass
 
 
-class RefinementFailed(Exception):
+class RefinementFailed(solver.SolverError):
     pass
 
 
-class MissedEvent(Exception):
+class MissedEvent(solver.SolverError):
     pass
 
 
-class NoConvergence(solver.NoConvergence):
-    pass
-
+NoConvergence = solver.NoConvergence
 
 START = "start"
 END = "end"
 FOLD = "fold"
-BRANCH_POINT = "branch_point"
 
 
 @dataclass
@@ -54,13 +50,11 @@ class StepConfig:
     slow_iters: int = 7
     corrector_tol: float = 1e-10
     max_corrector_iters: int = 10
-    predictor: str = "secant"  # "tangent" available behind this flag
     detect_closure: bool = False
     closure_align: float = 0.99
     closure_min_points: int = 12
     stop_after_folds: int | None = None
     points_after_fold: int = 6
-    max_norm: float | None = None
     stop_condition: object | None = None  # callable BranchPoint -> bool
     # corrector acceptance: reject points that strayed from the predictor or
     # reversed direction (both signal a jump onto a different branch)
@@ -81,7 +75,7 @@ class BranchPoint:
     tangent: np.ndarray | None = None
 
     def parameter_value(self, parameter):
-        return self.mu if parameter == "mu" else self.d
+        return getattr(self, parameter)
 
 
 @dataclass
@@ -113,10 +107,13 @@ def state_norm(u):
     return float(np.linalg.norm(u.values))
 
 
-def _parameter_column(values, grid, nonlinearity, mu, d, parameter):
-    if parameter == "mu":
-        return nonlinearity.f_mu(values, mu) + np.zeros(grid.size)
-    return lattice.laplacian_matrix(grid) @ values
+def _pair(parameter, p, fixed):
+    """(mu, d) from the continued parameter p and the fixed one.
+
+    The map only orders its arguments, so it also takes (mu, d) to
+    (p, fixed).
+    """
+    return (p, fixed) if parameter == "mu" else (fixed, p)
 
 
 def _make_point(values, grid, mu, d, tangent=None):
@@ -124,46 +121,36 @@ def _make_point(values, grid, mu, d, tangent=None):
     return BranchPoint(u=u, mu=mu, d=d, norm=state_norm(u), tangent=tangent)
 
 
-def _corrector(values, p, tangent, predicted, grid, nonlinearity, parameter,
-               fixed, cfg):
-    """Newton with the pseudo-arclength constraint <x - predicted, tangent> = 0."""
-    vals = values.copy()
-    mu, d = (p, fixed) if parameter == "mu" else (fixed, p)
-    for it in range(cfg.max_corrector_iters):
-        res = solver.residual_values(vals, grid, nonlinearity, mu, d)
-        rnorm = np.max(np.abs(res))
-        cons = tangent[:-1] @ (vals - predicted[:-1]) + tangent[-1] * (
-            p - predicted[-1])
-        if rnorm <= cfg.corrector_tol and abs(cons) <= 1e-12 * max(1.0, abs(p)):
-            return vals, p, it
-        jac = solver.jacobian_matrix(vals, grid, nonlinearity, mu, d)
-        fp = _parameter_column(vals, grid, nonlinearity, mu, d, parameter)
-        try:
-            du, dp = solver.bordered_solve(jac, fp, tangent[:-1],
-                                           tangent[-1], -res, [-cons])
-        except solver.SingularBorderedSystem as exc:
-            raise NoConvergence(str(exc)) from exc
-        vals = vals + du
-        p = p + dp[0]
-        mu, d = (p, fixed) if parameter == "mu" else (fixed, p)
-        if not np.all(np.isfinite(vals)):
-            raise NoConvergence("corrector produced non-finite state")
-    res = solver.residual_values(vals, grid, nonlinearity, mu, d)
-    if np.max(np.abs(res)) <= cfg.corrector_tol:
-        return vals, p, cfg.max_corrector_iters
-    raise NoConvergence("corrector did not reach tolerance")
+def _pinned_newton(x0, anchor, border, offset, grid, nonlinearity,
+                   parameter, fixed, tol, max_iter):
+    """Full-step Newton on {F(u, p) = 0, <border, x - anchor> = offset}.
 
+    The unknown is x = (u, p).  Stops when |F| <= tol and the constraint
+    holds to 1e-12 max(1, |p|); returns (x, steps) or raises
+    :class:`NoConvergence`.
+    """
+    def residual(x):
+        mu, d = _pair(parameter, x[-1], fixed)
+        cons = (border[:-1] @ (x[:-1] - anchor[:-1])
+                + border[-1] * (x[-1] - anchor[-1]) - offset)
+        return np.append(
+            solver.residual_values(x[:-1], grid, nonlinearity, mu, d), cons)
 
-def _tangent_solve(values, p, grid, nonlinearity, parameter, fixed, prev_tangent):
-    """Tangent of the solution curve, oriented along the previous tangent."""
-    mu, d = (p, fixed) if parameter == "mu" else (fixed, p)
-    jac = solver.jacobian_matrix(values, grid, nonlinearity, mu, d)
-    fp = _parameter_column(values, grid, nonlinearity, mu, d, parameter)
-    du, dp = solver.bordered_solve(jac, fp, prev_tangent[:-1],
-                                   prev_tangent[-1],
-                                   np.zeros(grid.size), [1.0])
-    t = np.concatenate([du, dp])
-    return t / np.linalg.norm(t)
+    def step(x, F):
+        mu, d = _pair(parameter, x[-1], fixed)
+        jac = solver.jacobian_matrix(x[:-1], grid, nonlinearity, mu, d)
+        fp = solver.parameter_column(x[:-1], grid, nonlinearity, mu, d,
+                                     parameter)
+        du, dp = solver.bordered_solve(jac, fp, border[:-1], border[-1],
+                                       -F[:-1], -F[-1:])
+        return np.append(du, dp)
+
+    def done(x, F):
+        return (np.max(np.abs(F[:-1])) <= tol
+                and abs(F[-1]) <= 1e-12 * max(1.0, abs(x[-1])))
+
+    x, _, steps = solver.newton(residual, step, x0, done, max_iter)
+    return x, steps
 
 
 def continue_branch(u0, nonlinearity, mu, d, parameter="mu",
@@ -177,8 +164,7 @@ def continue_branch(u0, nonlinearity, mu, d, parameter="mu",
     """
     cfg = config or StepConfig()
     grid = u0.grid
-    p0 = mu if parameter == "mu" else d
-    fixed = d if parameter == "mu" else mu
+    p0, fixed = _pair(parameter, mu, d)
     if p_bounds is None:
         p_bounds = (-np.inf, np.inf)
 
@@ -193,8 +179,7 @@ def continue_branch(u0, nonlinearity, mu, d, parameter="mu",
     dp = direction * max(cfg.h_init, 10 * cfg.h_min)
     nat = None
     for _ in range(12):
-        p_try = p0 + dp
-        mu_t, d_t = (p_try, fixed) if parameter == "mu" else (fixed, p_try)
+        mu_t, d_t = _pair(parameter, p0 + dp, fixed)
         try:
             nat, _ = solver.newton_solve(Field(grid, vals0), nonlinearity,
                                          mu_t, d_t, tol=cfg.corrector_tol)
@@ -210,34 +195,33 @@ def continue_branch(u0, nonlinearity, mu, d, parameter="mu",
     branch.events.append((0, START))
     branch.points.append(_make_point(vals0, grid, mu, d, tangent=t))
 
-    vals, p = vals0, p0
     h = cfg.h_init
     folds_seen = 0
     last_fold_index = None
-    x0 = np.concatenate([vals0, [p0]])
+    x = x0 = np.concatenate([vals0, [p0]])
     t0 = t.copy()
 
     while len(branch.points) < cfg.max_points:
+        p = x[-1]
         h_eff = h
         for lo, hi, cap in cfg.refine_bands:
             if lo <= p <= hi or lo <= p + h * t[-1] <= hi:
                 h_eff = min(h_eff, cap)
-        predicted = np.concatenate([vals + h_eff * t[:-1],
-                                    [p + h_eff * t[-1]]])
+        predicted = x + h_eff * t
         try:
-            new_vals, new_p, iters = _corrector(
-                predicted[:-1], predicted[-1], t, predicted, grid,
-                nonlinearity, parameter, fixed, cfg)
-        except (NoConvergence, solver.SolverError):
+            # corrector: Newton pinned to the hyperplane through the
+            # predicted point orthogonal to the tangent
+            x_new, iters = _pinned_newton(
+                predicted, predicted, t, 0.0, grid, nonlinearity, parameter,
+                fixed, cfg.corrector_tol, cfg.max_corrector_iters)
+        except solver.SolverError:
             h = 0.5 * h_eff
             if h < cfg.h_min:
                 branch.events.append((len(branch.points) - 1, END))
                 return branch
             continue
 
-        x_new = np.concatenate([new_vals, [new_p]])
-        x_old = np.concatenate([vals, [p]])
-        secant = x_new - x_old
+        secant = x_new - x
         step_len = np.linalg.norm(secant)
         if step_len < cfg.h_min:
             branch.events.append((len(branch.points) - 1, END))
@@ -251,14 +235,10 @@ def continue_branch(u0, nonlinearity, mu, d, parameter="mu",
                 branch.events.append((len(branch.points) - 1, END))
                 return branch
             continue
-        if cfg.predictor == "tangent":
-            t_new = _tangent_solve(new_vals, new_p, grid, nonlinearity,
-                                   parameter, fixed, t)
-        else:
-            t_new = secant / step_len
-
-        mu_new, d_new = (new_p, fixed) if parameter == "mu" else (fixed, new_p)
-        point = _make_point(new_vals, grid, mu_new, d_new, tangent=t_new)
+        t_new = secant / step_len
+        new_p = x_new[-1]
+        mu_new, d_new = _pair(parameter, new_p, fixed)
+        point = _make_point(x_new[:-1], grid, mu_new, d_new, tangent=t_new)
         branch.points.append(point)
         idx = len(branch.points) - 1
 
@@ -272,7 +252,7 @@ def continue_branch(u0, nonlinearity, mu, d, parameter="mu",
         elif iters >= cfg.slow_iters:
             h = max(0.5 * h_eff, cfg.h_min)
 
-        vals, p, t = new_vals, new_p, t_new
+        x, t = x_new, t_new
 
         if cfg.detect_closure and idx >= cfg.closure_min_points:
             if (np.linalg.norm(x_new - x0) <= 2 * max(h, step_len)
@@ -286,9 +266,6 @@ def continue_branch(u0, nonlinearity, mu, d, parameter="mu",
                 return branch
 
         if not (p_bounds[0] <= new_p <= p_bounds[1]):
-            branch.events.append((idx, END))
-            return branch
-        if cfg.max_norm is not None and point.norm > cfg.max_norm:
             branch.events.append((idx, END))
             return branch
         if (cfg.stop_after_folds is not None
@@ -308,96 +285,81 @@ def continue_branch(u0, nonlinearity, mu, d, parameter="mu",
 # fold refinement
 
 
+def fold_newton(vals, phi, p, fixed, c, grid, nonlinearity, parameter="mu",
+                tol_res=1e-10, tol_null=1e-8, max_iter=40, halvings=6,
+                p_range=(-np.inf, np.inf)):
+    """Newton on the fold system {F = 0, J phi = 0, <c, phi> = 1}.
+
+    Unknowns are (u, phi, p) at the other parameter ``fixed``; the iteration
+    stops when |F| <= tol_res and |J phi| <= tol_null |phi|, or as soon as p
+    leaves ``p_range`` (the caller checks which).  Returns (u, phi, p) or
+    raises :class:`NoConvergence` carrying the last iterate.
+    """
+    n = grid.size
+
+    def residual(x):
+        mu, d = _pair(parameter, x[-1], fixed)
+        jac = solver.jacobian_matrix(x[:n], grid, nonlinearity, mu, d)
+        return np.concatenate([
+            solver.residual_values(x[:n], grid, nonlinearity, mu, d),
+            jac @ x[n:2 * n], [c @ x[n:2 * n] - 1.0]])
+
+    def step(x, F):
+        mu, d = _pair(parameter, x[-1], fixed)
+        return solver.lu_solve(solver.fold_system(
+            x[:n], x[n:2 * n], c, grid, nonlinearity, mu, d, parameter), -F)
+
+    def done(x, F):
+        return (not p_range[0] <= x[-1] <= p_range[1]
+                or (np.max(np.abs(F[:n])) <= tol_res
+                    and np.max(np.abs(F[n:2 * n]))
+                    <= tol_null * np.linalg.norm(x[n:2 * n])))
+
+    x, _, _ = solver.newton(residual, step, np.concatenate([vals, phi, [p]]),
+                            done, max_iter, halvings)
+    return x[:n], x[n:2 * n], x[-1]
+
+
 def refine_fold(point_a, point_b, nonlinearity, parameter="mu",
                 tol_res=1e-10, tol_null=1e-8, max_iters=40, margin=None):
     """Newton on the augmented fold system between two bracketing points.
 
     Unknowns are (u, phi, p) at the other parameter fixed; the initial null
-    vector comes from the branch tangent.  ``margin`` bounds how far beyond
-    the bracket parameter values the refined fold may sit (the fold lies up
-    to one arclength step past them).  Returns a refined :class:`FoldPoint`
-    or raises :class:`RefinementFailed`.
+    vector comes from the branch tangent.  Steps are backtracked (lengths
+    1 ... 2^-6), which keeps the ill-conditioned degenerate folds in check.
+    ``margin`` bounds how far beyond the bracket parameter values the
+    refined fold may sit (the fold lies up to one arclength step past them).
+    Returns a refined :class:`FoldPoint` or raises :class:`RefinementFailed`.
     """
     grid = point_a.u.grid
-    n = grid.size
     seed = point_b if abs(point_b.tangent[-1]) < abs(point_a.tangent[-1]) \
         else point_a
-    vals = seed.u.values.copy()
-    p = seed.parameter_value(parameter)
-    fixed = seed.d if parameter == "mu" else seed.mu
+    p, fixed = _pair(parameter, seed.mu, seed.d)
     phi = seed.tangent[:-1].copy()
     nphi = np.linalg.norm(phi)
     if nphi < 1e-12:
         raise RefinementFailed("degenerate tangent at fold candidate")
     phi /= nphi
-    c = phi.copy()
 
-    lap = lattice.laplacian_matrix(grid)
+    pa = point_a.parameter_value(parameter)
+    pb = point_b.parameter_value(parameter)
     if margin is None:
-        step_len = np.linalg.norm(point_b.u.values - point_a.u.values) + abs(
-            point_b.parameter_value(parameter)
-            - point_a.parameter_value(parameter))
-        margin = 2.0 * step_len + 1e-8
-    p_lo = min(point_a.parameter_value(parameter),
-               point_b.parameter_value(parameter)) - margin
-    p_hi = max(point_a.parameter_value(parameter),
-               point_b.parameter_value(parameter)) + margin
-
-    def augmented_residual(vals_, phi_, p_):
-        mu_, d_ = (p_, fixed) if parameter == "mu" else (fixed, p_)
-        res_ = solver.residual_values(vals_, grid, nonlinearity, mu_, d_)
-        jac_ = solver.jacobian_matrix(vals_, grid, nonlinearity, mu_, d_)
-        return res_, jac_, np.concatenate([res_, jac_ @ phi_,
-                                           [c @ phi_ - 1.0]])
-
-    res, jac, full = augmented_residual(vals, phi, p)
-    fnorm = np.max(np.abs(full))
-    for _ in range(max_iters):
-        mu, d = (p, fixed) if parameter == "mu" else (fixed, p)
-        jphi = jac @ phi
-        if (np.max(np.abs(res)) <= tol_res
-                and np.max(np.abs(jphi)) <= tol_null * np.linalg.norm(phi)):
-            phi /= np.linalg.norm(phi)
-            return FoldPoint(u=Field(grid, vals), mu=mu, d=d,
-                             phi=Field(grid, phi), parameter=parameter)
-        fp = _parameter_column(vals, grid, nonlinearity, mu, d, parameter)
-        if parameter == "mu":
-            dJphi_dp = nonlinearity.f_umu(vals, mu) * phi
-        else:
-            dJphi_dp = lap @ phi
-        dJphi_du = sp.diags(nonlinearity.f_uu(vals, mu) * phi)
-        zero = sp.csr_matrix((n, n))
-        top = sp.hstack([jac, zero, sp.csr_matrix(fp).T])
-        mid = sp.hstack([dJphi_du, jac, sp.csr_matrix(dJphi_dp).T])
-        bot = sp.hstack([sp.csr_matrix((1, n)), sp.csr_matrix(c),
-                         sp.csr_matrix((1, 1))])
-        big = sp.vstack([top, mid, bot]).tocsc()
-        rhs = -np.concatenate([res, jphi, [c @ phi - 1.0]])
-        try:
-            lu = sp.linalg.splu(big)
-            step = lu.solve(rhs)
-        except RuntimeError as exc:
-            raise RefinementFailed(f"augmented solve failed: {exc}") from exc
-        if not np.all(np.isfinite(step)):
-            raise RefinementFailed("augmented solve produced non-finite step")
-        # backtracking keeps the ill-conditioned degenerate folds in check
-        damp = 1.0
-        for _ in range(7):
-            v_try = vals + damp * step[:n]
-            phi_try = phi + damp * step[n:2 * n]
-            p_try = p + damp * step[-1]
-            res_t, jac_t, full_t = augmented_residual(v_try, phi_try, p_try)
-            tnorm = np.max(np.abs(full_t))
-            if np.isfinite(tnorm) and tnorm < fnorm:
-                break
-            damp *= 0.5
-        else:
-            raise RefinementFailed("fold refinement stalled")
-        vals, phi, p = v_try, phi_try, p_try
-        res, jac, fnorm = res_t, jac_t, tnorm
-        if not (p_lo <= p <= p_hi):
-            raise RefinementFailed(f"fold refinement left the bracket: p={p}")
-    raise RefinementFailed("fold refinement did not converge")
+        margin = 2.0 * (np.linalg.norm(point_b.u.values - point_a.u.values)
+                        + abs(pb - pa)) + 1e-8
+    p_lo, p_hi = min(pa, pb) - margin, max(pa, pb) + margin
+    try:
+        vals, phi, p = fold_newton(
+            seed.u.values, phi, p, fixed, phi, grid, nonlinearity, parameter,
+            tol_res=tol_res, tol_null=tol_null, max_iter=max_iters,
+            halvings=6, p_range=(p_lo, p_hi))
+    except NoConvergence as exc:
+        raise RefinementFailed(f"fold refinement failed: {exc}") from exc
+    if not p_lo <= p <= p_hi:
+        raise RefinementFailed(f"fold refinement left the bracket: p={p}")
+    mu, d = _pair(parameter, p, fixed)
+    return FoldPoint(u=Field(grid, vals), mu=mu, d=d,
+                     phi=Field(grid, phi / np.linalg.norm(phi)),
+                     parameter=parameter)
 
 
 def detect_and_refine_folds(branch, nonlinearity, refine=True):
@@ -408,32 +370,30 @@ def detect_and_refine_folds(branch, nonlinearity, refine=True):
     for idx in branch.fold_indices():
         a = branch.points[max(idx - 1, 0)]
         b = branch.points[idx]
-        if not refine:
-            out.append(FoldPoint(u=b.u.copy(), mu=b.mu, d=b.d,
-                                 phi=Field(b.u.grid, b.tangent[:-1] /
-                                           np.linalg.norm(b.tangent[:-1])),
-                                 refined=False, parameter=branch.parameter))
-            continue
-        # the fold sits within a couple of arclength steps of the bracket;
-        # adaptive stepping can make the final step tiny, so measure the
-        # local step scale over a wider stencil
-        lo = max(idx - 3, 0)
-        hi = min(idx + 2, len(branch.points))
-        margin = 1e-8
-        for j in range(lo, hi - 1):
-            pa, pb = branch.points[j], branch.points[j + 1]
-            margin = max(margin, 2.0 * (
-                np.linalg.norm(pb.u.values - pa.u.values)
-                + abs(pb.parameter_value(branch.parameter)
-                      - pa.parameter_value(branch.parameter))))
-        try:
-            out.append(refine_fold(a, b, nonlinearity,
-                                   parameter=branch.parameter, margin=margin))
-        except RefinementFailed:
-            out.append(FoldPoint(u=b.u.copy(), mu=b.mu, d=b.d,
-                                 phi=Field(b.u.grid, b.tangent[:-1] /
-                                           np.linalg.norm(b.tangent[:-1])),
-                                 refined=False, parameter=branch.parameter))
+        if refine:
+            # the fold sits within a couple of arclength steps of the
+            # bracket; adaptive stepping can make the final step tiny, so
+            # measure the local step scale over a wider stencil
+            lo = max(idx - 3, 0)
+            hi = min(idx + 2, len(branch.points))
+            margin = 1e-8
+            for j in range(lo, hi - 1):
+                pa, pb = branch.points[j], branch.points[j + 1]
+                margin = max(margin, 2.0 * (
+                    np.linalg.norm(pb.u.values - pa.u.values)
+                    + abs(pb.parameter_value(branch.parameter)
+                          - pa.parameter_value(branch.parameter))))
+            try:
+                out.append(refine_fold(a, b, nonlinearity,
+                                       parameter=branch.parameter,
+                                       margin=margin))
+                continue
+            except RefinementFailed:
+                pass
+        out.append(FoldPoint(u=b.u.copy(), mu=b.mu, d=b.d,
+                             phi=Field(b.u.grid, b.tangent[:-1] /
+                                       np.linalg.norm(b.tangent[:-1])),
+                             refined=False, parameter=branch.parameter))
     return out
 
 
@@ -474,34 +434,18 @@ def switch_branch(fold, psi, nonlinearity, eps=None, max_retries=4,
         return BranchPoint(u=Field(grid, base.copy()), mu=fold.mu, d=fold.d,
                            norm=state_norm(Field(grid, base)))
 
-    for attempt in range(max_retries + 1):
+    anchor = np.append(base, fold.mu)
+    border = np.append(psi_v, 0.0)
+    for _ in range(max_retries + 1):
         for mu_off in mu_offsets:
-            vals = base + eps * psi_v
-            mu = fold.mu + mu_off
-            ok = False
-            for _ in range(40):
-                res = solver.residual_values(vals, grid, nonlinearity, mu,
-                                             fold.d)
-                cons = psi_v @ (vals - base) - eps
-                if np.max(np.abs(res)) <= tol and abs(cons) <= 1e-12:
-                    ok = True
-                    break
-                jac = solver.jacobian_matrix(vals, grid, nonlinearity, mu,
-                                             fold.d)
-                fp = _parameter_column(vals, grid, nonlinearity, mu, fold.d,
-                                       "mu")
-                try:
-                    du, dmu = solver.bordered_solve(jac, fp, psi_v, 0.0,
-                                                    -res, [-cons])
-                except solver.SingularBorderedSystem:
-                    break
-                vals = vals + du
-                mu = mu + dmu[0]
-                if not np.all(np.isfinite(vals)):
-                    break
-            if ok:
-                u = Field(grid, vals)
-                return BranchPoint(u=u, mu=mu, d=fold.d, norm=state_norm(u))
+            x0 = np.append(base + eps * psi_v, fold.mu + mu_off)
+            try:
+                x, _ = _pinned_newton(x0, anchor, border, eps, grid,
+                                      nonlinearity, "mu", fold.d, tol, 40)
+            except NoConvergence:
+                continue
+            u = Field(grid, x[:-1])
+            return BranchPoint(u=u, mu=x[-1], d=fold.d, norm=state_norm(u))
         eps *= 0.5
     raise NoConvergence("branch switching failed for all retried amplitudes")
 

@@ -10,11 +10,11 @@ import scipy.integrate
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import lattice
+from . import lattice, solver
 from .lattice import Field
 
 
-class StepUnderflow(Exception):
+class StepUnderflow(solver.SolverError):
     pass
 
 
@@ -68,18 +68,22 @@ def integrate_implicit(u0, nonlinearity, mu, d, t_end, dt=0.05,
     n = grid.size
     while t < t_end - 1e-12:
         h = min(dt, t_end - t)
-        prev = vals.copy()
-        # Newton for vals - prev - h*(d*Lap(vals) + f(vals)) = 0
-        for _ in range(50):
-            res = vals - prev - h * (d * (lap @ vals)
-                                     + nonlinearity.f(vals, mu))
-            if np.max(np.abs(res)) <= newton_tol:
-                break
-            jac = sp.eye(n) - h * (d * lap
-                                   + sp.diags(nonlinearity.f_u(vals, mu)))
-            vals = vals - spla.spsolve(jac.tocsc(), res)
-        else:
-            raise StepUnderflow("implicit step did not converge")
+        prev = vals
+
+        def residual(v):
+            return v - prev - h * (d * (lap @ v) + nonlinearity.f(v, mu))
+
+        def step(v, F):
+            jac = sp.eye(n) - h * (d * lap + sp.diags(nonlinearity.f_u(v, mu)))
+            return -spla.spsolve(jac.tocsc(), F)
+
+        try:
+            vals, _, _ = solver.newton(
+                residual, step, prev,
+                lambda v, F: np.max(np.abs(F)) <= newton_tol, 50)
+        except solver.NoConvergence as exc:
+            raise StepUnderflow(f"implicit step did not converge: {exc}") \
+                from exc
         t += h
         times.append(t)
         states.append(Field(grid, vals.copy()))

@@ -47,6 +47,16 @@ _LINEAR_PARTS = (
     (0, -1, -1, 0),  # ma : anti-diagonal
 )
 
+# D4 characters on the elements in the order above; ``two_dim`` is the trace
+# of the two-dimensional representation
+CHARACTERS = {
+    "trivial": (1, 1, 1, 1, 1, 1, 1, 1),
+    "sign1": (1, 1, 1, 1, -1, -1, -1, -1),
+    "sign2": (1, -1, 1, -1, 1, 1, -1, -1),
+    "sign3": (1, -1, 1, -1, -1, -1, 1, 1),
+    "two_dim": (2, 0, -2, 0, 0, 0, 0, 0),
+}
+
 
 def _group(symmetry):
     """The eight affine maps of the D4 action for the given symmetry class."""
@@ -310,46 +320,79 @@ def laplacian_matrix(grid):
     """Sparse matrix of the discrete Laplacian action on the grid.
 
     Wedge rows fold out-of-domain neighbors through the symmetry maps
-    (multiplicities accumulate); sites beyond the outer boundary n = N_d use
-    mirror ghosts.  Full squares use mirror ghosts on all four edges.  Row
-    sums vanish on every grid.
+    (multiplicities accumulate; this is the trivial case of
+    :func:`character_laplacian`); sites beyond the outer boundary n = N_d
+    use mirror ghosts.  Full squares use mirror ghosts on all four edges.
+    Row sums vanish on every grid.
     """
     return _laplacian_cached(grid)
 
 
 @lru_cache(maxsize=None)
 def _laplacian_cached(grid):
-    n_d = grid.half_width
-    sites = grid.sites()
-    rows, cols, vals = [], [], []
-
-    def add(i, j, v):
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-
     if grid.kind == WEDGE:
-        for i, (n, m) in enumerate(sites):
-            add(i, i, -4.0)
-            for nn, mm in ((n + 1, m), (n - 1, m), (n, m + 1), (n, m - 1)):
-                (fn, fm), _ = fold_site((nn, mm), grid.symmetry)
-                if fn > n_d:
-                    fn = n_d  # Neumann mirror ghost at the outer boundary
-                add(i, grid.index(fn, fm), 1.0)
-    else:
-        lo, hi = grid.n_min, grid.n_max
-        for i, (n, m) in enumerate(sites):
-            add(i, i, -4.0)
-            for nn, mm in ((n + 1, m), (n - 1, m), (n, m + 1), (n, m - 1)):
-                nn = min(max(nn, lo), hi)
-                mm = min(max(mm, lo), hi)
-                add(i, grid.index(nn, mm), 1.0)
-
+        return _character_laplacian_cached(grid, "trivial")[0]
+    lo, hi = grid.n_min, grid.n_max
+    rows, cols, vals = [], [], []
+    for i, (n, m) in enumerate(grid.sites()):
+        rows.append(i)
+        cols.append(i)
+        vals.append(-4.0)
+        for nn, mm in ((n + 1, m), (n - 1, m), (n, m + 1), (n, m - 1)):
+            rows.append(i)
+            cols.append(grid.index(min(max(nn, lo), hi), min(max(mm, lo), hi)))
+            vals.append(1.0)
     mat = sp.csr_matrix(
         (vals, (rows, cols)), shape=(grid.size, grid.size), dtype=float
     )
     mat.sum_duplicates()
     return mat
+
+
+def character_laplacian(grid, rep):
+    """Folded wedge Laplacian twisted by a one-dimensional character.
+
+    Out-of-wedge neighbors fold back with weight chi(g) of the folding
+    element.  A site fixed by an element of character -1 carries no field
+    of the representation, so contributions landing there vanish.  Returns
+    ``(matrix, active_sites)``; the operator acts on fields restricted to
+    the active sites.  Both are cached per (grid, rep) and must not be
+    modified.
+    """
+    if grid.kind != WEDGE:
+        raise ValueError("character laplacian expects a wedge grid")
+    return _character_laplacian_cached(grid, rep)
+
+
+@lru_cache(maxsize=None)
+def _character_laplacian_cached(grid, rep):
+    chars = CHARACTERS[rep]
+    elems = _group(grid.symmetry)
+    sites = grid.sites()
+    act = np.array([
+        i for i, (n, m) in enumerate(sites)
+        if not any(chi == -1 and apply_element(g, n, m) == (n, m)
+                   for g, chi in zip(elems, chars))], dtype=int)
+    act.setflags(write=False)
+    pos = {int(i): k for k, i in enumerate(act)}
+    rows, cols, vals = [], [], []
+    for k, i in enumerate(act):
+        n, m = sites[i]
+        rows.append(k)
+        cols.append(k)
+        vals.append(-4.0)
+        for nn, mm in ((n + 1, m), (n - 1, m), (n, m + 1), (n, m - 1)):
+            (fn, fm), g_idx = fold_site((nn, mm), grid.symmetry)
+            # Neumann mirror ghost at the outer boundary
+            j = grid.index(min(fn, grid.half_width), fm)
+            if j in pos:
+                rows.append(k)
+                cols.append(pos[j])
+                vals.append(float(chars[g_idx]))
+    mat = sp.csr_matrix((vals, (rows, cols)), shape=(len(act), len(act)),
+                        dtype=float)
+    mat.sum_duplicates()
+    return mat, act
 
 
 def laplacian_apply(field):

@@ -35,6 +35,8 @@ class Nonlinearity:
     Attributes
     ----------
     family : str
+    f, f_u, f_mu, f_uu, f_umu : callable
+        The reaction term and its derivatives, each called as ``(u, mu)``.
     window : (float, float)
         The closed bistable parameter window, (0, 1) for the built-ins.
     endpoint_lo, endpoint_hi : str
@@ -46,11 +48,11 @@ class Nonlinearity:
     def __init__(self, family, f, f_u, f_mu, f_uu, f_umu, u_minus, u_plus,
                  endpoint_lo, endpoint_hi, window=(0.0, 1.0), odd=False):
         self.family = family
-        self._f = f
-        self._f_u = f_u
-        self._f_mu = f_mu
-        self._f_uu = f_uu
-        self._f_umu = f_umu
+        self.f = f
+        self.f_u = f_u
+        self.f_mu = f_mu
+        self.f_uu = f_uu
+        self.f_umu = f_umu
         self._u_minus = u_minus
         self._u_plus = u_plus
         self.endpoint_lo = endpoint_lo
@@ -59,22 +61,7 @@ class Nonlinearity:
         self.odd = odd
 
     def __call__(self, u, mu):
-        return self._f(u, mu)
-
-    def f(self, u, mu):
-        return self._f(u, mu)
-
-    def f_u(self, u, mu):
-        return self._f_u(u, mu)
-
-    def f_mu(self, u, mu):
-        return self._f_mu(u, mu)
-
-    def f_uu(self, u, mu):
-        return self._f_uu(u, mu)
-
-    def f_umu(self, u, mu):
-        return self._f_umu(u, mu)
+        return self.f(u, mu)
 
     def u_minus(self, mu):
         self._check_window(mu)
@@ -285,13 +272,6 @@ def anti_continuum_pattern(pattern, mu, nonlinearity, grid=None, n_d=None):
                 elif m == pattern.M:
                     vals[i] = um
     return lattice.Field(grid, vals)
-
-
-def u_minus_cell(pattern):
-    """Wedge cell carrying the middle root (v-variant only)."""
-    if pattern.variant != VBAR:
-        return None
-    return (pattern.N, pattern.M)
 
 
 def gamma_path(n_star, symmetry=lattice.OFFSITE):

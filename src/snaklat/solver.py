@@ -18,7 +18,7 @@ from .lattice import Field
 
 
 class SolverError(Exception):
-    pass
+    """Base of every numerical failure the package raises."""
 
 
 class SingularJacobian(SolverError):
@@ -26,7 +26,13 @@ class SingularJacobian(SolverError):
 
 
 class NoConvergence(SolverError):
-    pass
+    """A Newton iteration failed; ``x`` is its last iterate, ``norm`` the
+    sup-norm of the residual there (both None when not known)."""
+
+    def __init__(self, message, x=None, norm=None):
+        super().__init__(message)
+        self.x = x
+        self.norm = norm
 
 
 class SingularBorderedSystem(SolverError):
@@ -54,22 +60,87 @@ def jacobian_matrix(values, grid, nonlinearity, mu, d):
     return (d * lap + diag).tocsc()
 
 
-def _lu(matrix, err=SingularJacobian):
+def parameter_column(values, grid, nonlinearity, mu, d, parameter):
+    """dF/dp for the continuation parameter p, ``"mu"`` or ``"d"``."""
+    if parameter == "mu":
+        return nonlinearity.f_mu(values, mu) + np.zeros(grid.size)
+    return lattice.laplacian_matrix(grid) @ values
+
+
+def fold_rows(values, phi, grid, nonlinearity, mu, d, parameters=("mu",)):
+    """Block rows [[J, 0, F_p], [diag(f_uu phi), J, (J phi)_p]] of a fold system.
+
+    One column of F_p and of (J phi)_p per name in ``parameters``; the rows
+    are lists of blocks for :func:`scipy.sparse.bmat`, None meaning zero.
+    """
+    jac = jacobian_matrix(values, grid, nonlinearity, mu, d)
+    top, mid = [jac, None], [sp.diags(nonlinearity.f_uu(values, mu) * phi), jac]
+    for p in parameters:
+        jphi_p = (nonlinearity.f_umu(values, mu) * phi if p == "mu"
+                  else lattice.laplacian_matrix(grid) @ phi)
+        top.append(sp.csr_matrix(
+            parameter_column(values, grid, nonlinearity, mu, d, p)).T)
+        mid.append(sp.csr_matrix(jphi_p).T)
+    return [top, mid]
+
+
+def fold_system(values, phi, c, grid, nonlinearity, mu, d, parameter="mu"):
+    """Jacobian in (u, phi, p) of the fold system {F = 0, J phi = 0, <c, phi> = 1}."""
+    rows = fold_rows(values, phi, grid, nonlinearity, mu, d, (parameter,))
+    return sp.bmat(rows + [[None, sp.csr_matrix(c), None]], format="csc")
+
+
+def lu_solve(matrix, rhs, err=SingularJacobian):
+    """Solve with a sparse LU factorization; ``err`` on a singular matrix or a
+    non-finite solution."""
     try:
         lu = spla.splu(matrix.tocsc())
     except RuntimeError as exc:
         raise err(str(exc)) from exc
-    return lu
-
-
-def _lu_solve(lu, rhs, err=SingularJacobian):
     x = lu.solve(rhs)
     if not np.all(np.isfinite(x)):
         raise err("linear solve produced non-finite values")
     return x
 
 
-def newton_solve(u0, nonlinearity, mu, d, tol=1e-10, max_iter=50, verbose=False):
+def newton(residual, step, x0, done, max_iter, halvings=0):
+    """Newton iteration x <- x + s dx with F = residual(x), dx = step(x, F).
+
+    ``done(x, F)`` is tested before every step and after the last one.  With
+    ``halvings`` > 0 the step length s runs through 1, 1/2, ..., 2**-halvings
+    until the residual sup-norm decreases; with 0 every full step is taken.
+    Returns ``(x, F, steps)``.  A stall, a failed or non-finite step and an
+    exhausted cap raise :class:`NoConvergence` with the last iterate.
+    """
+    x, F = x0, residual(x0)
+    norm = np.max(np.abs(F))
+    for it in range(max_iter + 1):
+        if done(x, F):
+            return x, F, it
+        if it == max_iter:
+            break
+        try:
+            dx = step(x, F)
+        except SolverError as exc:
+            raise NoConvergence(str(exc), x, norm) from exc
+        for k in range(halvings + 1):
+            trial = x + 0.5**k * dx
+            trial_F = residual(trial)
+            trial_norm = np.max(np.abs(trial_F))
+            if not halvings or trial_norm < norm:
+                break
+        else:
+            raise NoConvergence(
+                f"residual stalled at {norm:.3e} after {it} steps", x, norm)
+        if not np.isfinite(trial_norm):
+            raise NoConvergence("Newton step produced non-finite values",
+                                x, norm)
+        x, F, norm = trial, trial_F, trial_norm
+    raise NoConvergence(
+        f"no convergence in {max_iter} steps, |F|={norm:.3e}", x, norm)
+
+
+def newton_solve(u0, nonlinearity, mu, d, tol=1e-10, max_iter=50):
     """Damped Newton iteration for F(u, mu, d) = 0.
 
     Steps are halved (up to 8 times) until the residual sup-norm decreases;
@@ -77,33 +148,18 @@ def newton_solve(u0, nonlinearity, mu, d, tol=1e-10, max_iter=50, verbose=False)
     Returns ``(u, iterations)``.
     """
     grid = u0.grid
-    vals = np.asarray(u0.values, dtype=float).copy()
-    res = residual_values(vals, grid, nonlinearity, mu, d)
-    rnorm = np.max(np.abs(res))
-    for it in range(max_iter):
-        if rnorm <= tol:
-            return Field(grid, vals), it
-        jac = jacobian_matrix(vals, grid, nonlinearity, mu, d)
-        lu = _lu(jac)
-        step = _lu_solve(lu, -res)
-        damp = 1.0
-        for _ in range(9):
-            trial = vals + damp * step
-            trial_res = residual_values(trial, grid, nonlinearity, mu, d)
-            trial_norm = np.max(np.abs(trial_res))
-            if np.isfinite(trial_norm) and trial_norm < rnorm:
-                break
-            damp *= 0.5
-        else:
-            raise NoConvergence(
-                f"residual stalled at {rnorm:.3e} after {it} iterations"
-            )
-        vals, res, rnorm = trial, trial_res, trial_norm
-        if verbose:
-            print(f"  newton iter {it + 1}: |F|_inf = {rnorm:.3e} (damp {damp})")
-    if rnorm <= tol:
-        return Field(grid, vals), max_iter
-    raise NoConvergence(f"no convergence in {max_iter} iterations, |F|={rnorm:.3e}")
+
+    def residual(x):
+        return residual_values(x, grid, nonlinearity, mu, d)
+
+    def step(x, F):
+        return lu_solve(jacobian_matrix(x, grid, nonlinearity, mu, d), -F)
+
+    x, _, it = newton(residual, step,
+                      np.asarray(u0.values, dtype=float).copy(),
+                      lambda x, F: np.max(np.abs(F)) <= tol, max_iter,
+                      halvings=8)
+    return Field(grid, x), it
 
 
 def bordered_solve(J, B, C, D, rhs_top, rhs_bottom):
@@ -128,21 +184,19 @@ def bordered_solve(J, B, C, D, rhs_top, rhs_bottom):
         raise ValueError("right-hand side does not match the bordered dimensions")
     M = sp.bmat([[J, sp.csc_matrix(B)], [sp.csc_matrix(C.T), sp.csc_matrix(D)]],
                 format="csc")
-    lu = _lu(M, err=SingularBorderedSystem)
-    sol = _lu_solve(lu, rhs, err=SingularBorderedSystem)
+    sol = lu_solve(M, rhs, err=SingularBorderedSystem)
     return sol[:n], sol[n:]
 
 
-def continue_in_coupling(u0, nonlinearity, mu, d_target, tol=1e-10,
-                         d_start=0.0, max_halvings=20):
+def continue_in_coupling(u0, nonlinearity, mu, d_target, tol=1e-10):
     """Natural continuation in d from a decoupled-limit state.
 
     Newton-corrects along a geometric ladder of coupling values until the
     target is reached; the ladder is refined adaptively when a solve fails.
     """
     u = u0.copy()
-    d_cur = d_start
-    step = d_target - d_start
+    d_cur = 0.0
+    step = d_target
     halvings = 0
     while d_cur != d_target:
         d_try = d_cur + step
@@ -153,7 +207,7 @@ def continue_in_coupling(u0, nonlinearity, mu, d_target, tol=1e-10,
         except SolverError:
             halvings += 1
             step *= 0.5
-            if halvings > max_halvings:
+            if halvings > 20:
                 raise NoConvergence(
                     f"coupling continuation stalled at d={d_cur:.3e}"
                 )

@@ -25,24 +25,19 @@ from . import lattice, solver
 from .lattice import Field
 
 
-class FactorizationFailure(Exception):
+class FactorizationFailure(solver.SolverError):
     pass
 
 
-class AmbiguousCrossing(Exception):
+class AmbiguousCrossing(solver.SolverError):
     pass
 
 
 ISOTYPIC_TAGS = ("trivial", "sign1", "sign2", "sign3", "two_dim")
 
-# characters on (e, r90, r180, r270, mv, mh, md, ma)
-_CHARACTERS = {
-    "trivial": (1, 1, 1, 1, 1, 1, 1, 1),
-    "sign1": (1, 1, 1, 1, -1, -1, -1, -1),
-    "sign2": (1, -1, 1, -1, 1, 1, -1, -1),
-    "sign3": (1, -1, 1, -1, -1, -1, 1, 1),
-    "two_dim": (2, 0, -2, 0, 0, 0, 0, 0),
-}
+# matrix order up to which near-zero eigenpairs come from a dense eigh;
+# larger matrices use shift-invert Lanczos
+DENSE_EIG_MAX = 900
 
 _DIMS = {"trivial": 1, "sign1": 1, "sign2": 1, "sign3": 1, "two_dim": 2}
 
@@ -98,29 +93,15 @@ def dense_ldl_inertia(matrix):
     a = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix)
     _, d, _ = scipy.linalg.ldl(a)
     n = a.shape[0]
-    n_pos = n_neg = n_zero = 0
+    lams = []
     k = 0
     while k < n:
-        if k + 1 < n and abs(d[k + 1, k]) > 0:
-            ev = np.linalg.eigvalsh(d[k: k + 2, k: k + 2])
-            for lam in ev:
-                if lam > 0:
-                    n_pos += 1
-                elif lam < 0:
-                    n_neg += 1
-                else:
-                    n_zero += 1
-            k += 2
-        else:
-            lam = d[k, k]
-            if lam > 0:
-                n_pos += 1
-            elif lam < 0:
-                n_neg += 1
-            else:
-                n_zero += 1
-            k += 1
-    return n_pos, n_neg, n_zero
+        size = 2 if k + 1 < n and abs(d[k + 1, k]) > 0 else 1
+        lams.extend(np.linalg.eigvalsh(d[k: k + size, k: k + size]))
+        k += size
+    lams = np.array(lams)
+    return (int(np.sum(lams > 0)), int(np.sum(lams < 0)),
+            int(np.sum(lams == 0)))
 
 
 def eigencount_above(matrix, threshold, retries=4):
@@ -134,10 +115,7 @@ def eigencount_above(matrix, threshold, retries=4):
         except FactorizationFailure:
             # nudge the shift off an eigenvalue and retry
             shift = threshold + (attempt + 1) * 1e-12 * max(1.0, abs(threshold))
-    n_pos, _, _ = dense_ldl_inertia(
-        (matrix - shift * sp.eye(n)).toarray() if sp.issparse(matrix) else
-        matrix - shift * np.eye(n)
-    )
+    n_pos, _, _ = dense_ldl_inertia(matrix - shift * sp.eye(n))
     return n_pos
 
 
@@ -186,27 +164,30 @@ def unstable_count(u_wedge, nonlinearity, mu, d, zero_tol=1e-8,
         nonlinearity.f_u(u_full.values, mu)))))
     n = jac.shape[0]
     n_above = eigencount_above(jac, tau)
-    n_below = n - eigencount_above(jac, -tau)
-    n_zero = n - n_above - n_below
+    n_zero = eigencount_above(jac, -tau) - n_above
     report = SpectrumReport(n_unstable=n_above, n_zero=n_zero,
                             grid=u_full.grid, tau=tau)
     if n_zero > 0 and want_vectors:
         k = min(n_zero + 2, n - 1)
-        for lam, vec in zip(*_eigenpairs_near_zero(jac, k)):
+        for lam, vec in zip(*eigenpairs_near_zero(jac, k)):
             if abs(lam) < tau:
                 report.near_zero.append((lam, Field(u_full.grid, vec)))
     return report
 
 
-def _eigenpairs_near_zero(jac, k):
-    n = jac.shape[0]
-    if n <= 900:
-        vals, vecs = np.linalg.eigh(jac.toarray())
+def eigenpairs_near_zero(sym, k=1):
+    """The k eigenpairs of a symmetric matrix nearest zero, nearest first.
+
+    Returns (eigenvalues, list of eigenvectors).
+    """
+    n = sym.shape[0]
+    if n <= DENSE_EIG_MAX or k >= n - 1:
+        vals, vecs = np.linalg.eigh(sym.toarray())
     else:
         try:
-            vals, vecs = spla.eigsh(jac.tocsc(), k=k, sigma=0.0)
+            vals, vecs = spla.eigsh(sym.tocsc(), k=k, sigma=0.0)
         except RuntimeError:
-            vals, vecs = spla.eigsh(jac.tocsc(), k=k, sigma=1e-10)
+            vals, vecs = spla.eigsh(sym.tocsc(), k=k, sigma=1e-10)
     order = np.argsort(np.abs(vals))[:k]
     return vals[order], [vecs[:, i] for i in order]
 
@@ -215,25 +196,6 @@ def dense_spectrum(u_wedge, nonlinearity, mu, d):
     """All eigenvalues of the full-square Jacobian (dense oracle)."""
     _, jac = full_square_jacobian(u_wedge, nonlinearity, mu, d)
     return np.linalg.eigvalsh(jac.toarray())
-
-
-def smallest_eigenpairs_wedge(jac_wedge, weights, k=1):
-    """Eigenpairs of the wedge Jacobian nearest zero, via its symmetric form.
-
-    Returns (eigenvalues, vectors) with vectors in wedge (action) coordinates.
-    """
-    sym = lattice.symmetric_form(jac_wedge, weights)
-    n = sym.shape[0]
-    if n <= 600 or k >= n - 1:
-        vals, vecs = np.linalg.eigh(sym.toarray())
-    else:
-        try:
-            vals, vecs = spla.eigsh(sym, k=k, sigma=0.0)
-        except RuntimeError:
-            vals, vecs = spla.eigsh(sym, k=k, sigma=1e-10)
-    order = np.argsort(np.abs(vals))[:k]
-    scale = 1.0 / np.sqrt(weights)
-    return vals[order], [scale * vecs[:, i] for i in order]
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +286,10 @@ def vbar_unstable_reference(N, M, symmetry):
 
 
 def isotypic_projection(values, grid, symmetry, tag):
+    """Projection onto an isotypic component of one field or, row-wise, of
+    an (n, k) array of fields."""
     perms = lattice.action_permutations(grid, symmetry)
-    chars = _CHARACTERS[tag]
+    chars = lattice.CHARACTERS[tag]
     acc = np.zeros_like(values, dtype=float)
     for chi, p in zip(chars, perms):
         if chi:

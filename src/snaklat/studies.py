@@ -8,6 +8,8 @@ with finer resolution when a narrow fold is stepped over.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import asymptotics, continuation, lattice, model, solver, spectral
@@ -19,18 +21,7 @@ from .model import PatternId, UBAR, VBAR, anti_continuum_pattern
 def prepared_state(nonlinearity, pattern, mu, d, n_d):
     """Decoupled-limit pattern continued to coupling d at fixed mu."""
     u0 = anti_continuum_pattern(pattern, mu, nonlinearity, n_d=n_d)
-    if d == 0.0:
-        return u0
     return solver.continue_in_coupling(u0, nonlinearity, mu, d)
-
-
-def descend_mu(u, nonlinearity, mu_from, mu_to, d, steps=12, tol=1e-10):
-    """Natural continuation in mu along a geometric ladder toward mu_to."""
-    mus = mu_to + (mu_from - mu_to) * np.geomspace(1.0, 1e-3, steps)
-    out = u
-    for mu in list(mus[1:]) + [mu_to]:
-        out, _ = solver.newton_solve(out, nonlinearity, mu, d, tol=tol)
-    return out
 
 
 def _upper_fold_cap(scale):
@@ -64,20 +55,10 @@ def find_left_fold(nonlinearity, N, M, d, symmetry=OFFSITE, n_d=10,
     scale = asymptotics.predict_fold_mu_gauged(nonlinearity, ending, d)
     pattern = PatternId(N, M, UBAR, symmetry)
     u = prepared_state(nonlinearity, pattern, mu_start, d, n_d)
-    cap = scale / 5.0
-    for _ in range(max_retries + 1):
-        cfg = StepConfig(stop_after_folds=1, max_points=3000,
-                         refine_bands=((-1.0, 4.0 * scale, cap),))
-        branch = continuation.continue_branch(
-            u, nonlinearity, mu_start, d, parameter="mu", config=cfg,
-            direction=-1.0, p_bounds=(-0.5 * scale, mu_start + 0.2))
-        folds = continuation.detect_and_refine_folds(branch, nonlinearity)
-        if folds and folds[0].refined:
-            return (folds[0], branch) if return_branch else folds[0]
-        cap /= 4.0
-    raise continuation.RefinementFailed(
-        f"no refined left fold for (N, M)=({N}, {M}) at d={d}"
-    )
+    return _first_fold(u, nonlinearity, mu_start, d, (-1.0, 4.0 * scale),
+                       scale / 5.0, -1.0, (-0.5 * scale, mu_start + 0.2),
+                       max_retries, return_branch,
+                       f"left fold for (N, M)=({N}, {M}) at d={d}")
 
 
 def find_right_fold(nonlinearity, N, M, d, symmetry=OFFSITE, n_d=10,
@@ -115,25 +96,35 @@ def find_right_fold(nonlinearity, N, M, d, symmetry=OFFSITE, n_d=10,
         raise solver.NoConvergence(
             f"could not prepare u-bar({N},{M}) at d={d} from any mu"
         )
-    cap = _upper_fold_cap(scale)
+    return _first_fold(u, nonlinearity, mu_start, d, (1.0 - 6.0 * scale, 2.0),
+                       _upper_fold_cap(scale), +1.0,
+                       (mu_start - 0.2, 1.0 + scale), max_retries,
+                       return_branch,
+                       f"right fold for (N, M)=({N}, {M}) at d={d}")
+
+
+def _first_fold(u, nonlinearity, mu_start, d, band, cap, direction, p_bounds,
+                max_retries, return_branch, what):
+    """Continue in mu to the first fold and refine it.
+
+    Inside ``band`` the step is capped at ``cap``; the cap shrinks fourfold
+    and the run is repeated while the fold fails to refine.
+    """
     for _ in range(max_retries + 1):
         cfg = StepConfig(stop_after_folds=1, max_points=3000,
-                         refine_bands=((1.0 - 6.0 * scale, 2.0, cap),))
+                         refine_bands=((*band, cap),))
         branch = continuation.continue_branch(
             u, nonlinearity, mu_start, d, parameter="mu", config=cfg,
-            direction=+1.0, p_bounds=(mu_start - 0.2, 1.0 + scale))
+            direction=direction, p_bounds=p_bounds)
         folds = continuation.detect_and_refine_folds(branch, nonlinearity)
         if folds and folds[0].refined:
             return (folds[0], branch) if return_branch else folds[0]
         cap /= 4.0
-    raise continuation.RefinementFailed(
-        f"no refined right fold for (N, M)=({N}, {M}) at d={d}"
-    )
+    raise continuation.RefinementFailed(f"no refined {what}")
 
 
 def snake_branch(nonlinearity, d, symmetry=OFFSITE, n_d=20, mu_start=0.5,
-                 max_folds=19, max_points=20000, h_init=None, h_max=None,
-                 h_mu_low=None, h_mu_high=None):
+                 max_folds=19, max_points=20000, h_init=None, h_max=None):
     """Trace the primary snaking branch upward through ``max_folds`` folds.
 
     Starts on the v-bar(1,1) segment and follows the branch as cells are
@@ -146,8 +137,8 @@ def snake_branch(nonlinearity, d, symmetry=OFFSITE, n_d=20, mu_start=0.5,
         asymptotics.FOLD_M_NEAR_N if nonlinearity.endpoint_hi == model.FOLD
         else asymptotics.TRANS1_M_NEAR_N, d)
     bands = (
-        (-1.0, 3.0 * lo_scale, h_mu_low or lo_scale / 5.0),
-        (1.0 - 5.0 * hi_scale, 2.0, h_mu_high or _upper_fold_cap(hi_scale)),
+        (-1.0, 3.0 * lo_scale, lo_scale / 5.0),
+        (1.0 - 5.0 * hi_scale, 2.0, _upper_fold_cap(hi_scale)),
     )
     # ascending traversal: v-bar(1,1) runs to the right fold first, then the
     # branch alternates left/right folds while cells switch on
@@ -193,8 +184,6 @@ def corner_receded_state(nonlinearity, N, mu, d, n_d, symmetry=OFFSITE):
     u = anti_continuum_pattern(PatternId(N, 1, UBAR, symmetry), mu,
                                nonlinearity, n_d=n_d)
     u.values[u.grid.index(N - 1, N - 1)] = nonlinearity.u_minus(mu)
-    if d == 0.0:
-        return u
     return solver.continue_in_coupling(u, nonlinearity, mu, d)
 
 
@@ -225,7 +214,7 @@ def critical_eigenvectors(fold, nonlinearity, k=10):
     """Near-zero eigenpairs of the full-square Jacobian at a refined fold."""
     _, jac = spectral.full_square_jacobian(fold.u, nonlinearity, fold.mu,
                                            fold.d)
-    vals, vecs = spectral._eigenpairs_near_zero(jac, k)
+    vals, vecs = spectral.eigenpairs_near_zero(jac, k)
     grid = lattice.full_square(fold.u.grid.half_width, fold.u.grid.symmetry)
     return vals, [lattice.Field(grid, v) for v in vecs]
 
@@ -245,9 +234,7 @@ def switch_directions(fold, nonlinearity, symmetry, n_critical=8):
 
     directions = []
     for tag in ("sign1", "sign2", "sign3"):
-        proj = np.column_stack([
-            spectral.isotypic_projection(basis[:, j], grid, symmetry, tag)
-            for j in range(basis.shape[1])])
+        proj = spectral.isotypic_projection(basis, grid, symmetry, tag)
         norms = np.linalg.norm(proj, axis=0)
         j = int(np.argmax(norms))
         if norms[j] > 1e-6:
@@ -256,9 +243,7 @@ def switch_directions(fold, nonlinearity, symmetry, n_critical=8):
 
     # two-dimensional component: split into the two eigenvalue planes and
     # pick mirror-fixed vectors in each
-    proj_e = np.column_stack([
-        spectral.isotypic_projection(basis[:, j], grid, symmetry, "two_dim")
-        for j in range(basis.shape[1])])
+    proj_e = spectral.isotypic_projection(basis, grid, symmetry, "two_dim")
     keep = [j for j in range(proj_e.shape[1])
             if np.linalg.norm(proj_e[:, j]) > 1e-6]
     if keep:
@@ -322,7 +307,7 @@ def asymmetric_fan(fold, nonlinearity, symmetry, eps=None, config=None,
             return state["armed"] and a < reconnect_drop * state["peak"]
 
         base = config or StepConfig(max_points=1500)
-        cfg = StepConfig(**{**base.__dict__, "stop_condition": stop})
+        cfg = replace(base, stop_condition=stop)
         direction = 1.0 if seed.mu >= fold.mu else -1.0
         branch = continuation.continue_branch(
             seed.u, nonlinearity, seed.mu, seed.d, parameter="mu",

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from snaklat import cli, lattice, model
+from snaklat import cli, continuation, lattice, model
 from snaklat.model import PatternId, UBAR, anti_continuum_pattern
 
 
@@ -86,6 +86,19 @@ class TestSnake:
         assert any("fold" in e for e in events)
         folds = json.loads((out / "folds.json").read_text())
         assert len(folds) == 3
+
+    def test_missed_event_is_a_numerical_failure(self, tmp_path, capsys,
+                                                 monkeypatch):
+        def missed(branch, nonlinearity, **kwargs):
+            raise continuation.MissedEvent("unstable count changed")
+
+        monkeypatch.setattr(continuation, "tag_stability", missed)
+        cfg = write_config(tmp_path, {
+            "grid": {"N_d": 5},
+            "run": {"d": 1e-3, "max_folds": 1, "stability": True}})
+        rc = cli.main(["snake", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 1
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_mu_start_outside_window_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, {"run": {"d": 1e-3, "mu_start": 1.4}})

@@ -58,26 +58,6 @@ class TestContinueBranch:
                 [b.u.values - a.u.values, [b.mu - a.mu]]))
             assert dx >= cfg.h_min
 
-    def test_tangent_predictor_matches_secant(self):
-        d = 1e-3
-        u = studies.prepared_state(NL, PatternId(2, 1, UBAR, OFFSITE), 0.5,
-                                   d, 6)
-        kwargs = dict(direction=-1.0, p_bounds=(0.35, 0.6))
-        sec = ct.continue_branch(u, NL, 0.5, d,
-                                 config=ct.StepConfig(max_points=15),
-                                 **kwargs)
-        tan = ct.continue_branch(u, NL, 0.5, d,
-                                 config=ct.StepConfig(max_points=15,
-                                                      predictor="tangent"),
-                                 **kwargs)
-        # same curve: every tangent-predictor point satisfies the residual
-        # and stays close to the secant polygon
-        mus_sec = np.array([p.mu for p in sec.points])
-        for pt in tan.points:
-            assert solver.residual(pt.u, NL, pt.mu, pt.d).norm_inf() <= 1e-10
-            j = int(np.argmin(np.abs(mus_sec - pt.mu)))
-            assert np.max(np.abs(pt.u.values - sec.points[j].u.values)) < 5e-3
-
     def test_domain_boundary_stops_with_end_event(self):
         d = 1e-3
         u = studies.prepared_state(NL, PatternId(1, 1, UBAR, OFFSITE), 0.5,

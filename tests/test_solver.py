@@ -126,6 +126,67 @@ class TestNewton:
         assert solver.residual(u, nl, 0.5, 0.05).norm_inf() <= 1e-10
 
 
+class TestNewtonKernel:
+    @staticmethod
+    def arctan_step(x, F):
+        return -F * (1.0 + x**2)
+
+    def test_full_steps_are_taken_even_when_the_residual_grows(self):
+        # Newton on arctan from x0 = 2 overshoots further on every step;
+        # without halvings the kernel must follow it (the pseudo-arclength
+        # corrector relies on undamped steps) and report the cap
+        norms = []
+
+        def done(x, F):
+            norms.append(float(np.max(np.abs(F))))
+            return False
+
+        with pytest.raises(solver.NoConvergence) as info:
+            solver.newton(np.arctan, self.arctan_step, np.array([2.0]), done,
+                          3)
+        assert len(norms) == 4
+        assert norms == sorted(norms) and norms[-1] > norms[0]
+        assert info.value.x[0] < -100.0
+        assert info.value.norm == norms[-1]
+
+    def test_halvings_rescue_the_overshooting_iteration(self):
+        x, F, steps = solver.newton(
+            np.arctan, self.arctan_step, np.array([2.0]),
+            lambda x, F: np.max(np.abs(F)) <= 1e-12, 50, halvings=8)
+        assert abs(x[0]) <= 1e-12 and 0 < steps < 50
+
+    def test_damped_stall_carries_last_iterate_and_norm(self):
+        # x^2 + 1 has no root: the damped iteration decreases |F| a few
+        # times, then no step length helps
+        def residual(x):
+            return x**2 + 1.0
+
+        accepted = []
+
+        def done(x, F):
+            accepted.append(x.copy())
+            return False
+
+        with pytest.raises(solver.NoConvergence, match="stalled") as info:
+            solver.newton(residual, lambda x, F: -F / (2.0 * x),
+                          np.array([2.0]), done, 50, halvings=8)
+        exc = info.value
+        assert len(accepted) > 1
+        assert np.array_equal(exc.x, accepted[-1])
+        assert exc.norm == np.max(np.abs(residual(exc.x)))
+        assert 1.0 <= exc.norm < residual(2.0)
+
+    def test_failed_step_becomes_no_convergence_at_last_iterate(self):
+        def step(x, F):
+            raise solver.SingularJacobian("singular")
+
+        with pytest.raises(solver.NoConvergence) as info:
+            solver.newton(np.arctan, step, np.array([0.5]),
+                          lambda x, F: False, 10)
+        assert info.value.x[0] == 0.5
+        assert isinstance(info.value.__cause__, solver.SingularJacobian)
+
+
 class TestBorderedSolve:
     def test_identity_with_zero_border(self):
         n = 6

@@ -155,7 +155,7 @@ class TestTransversality:
 
         def smallest_signed(pt):
             _, jac = spectral.full_square_jacobian(pt.u, nl, pt.mu, pt.d)
-            vals, _ = spectral._eigenpairs_near_zero(jac, 3)
+            vals, _ = spectral.eigenpairs_near_zero(jac, 3)
             return vals[0]
 
         lams, dists = [], []
@@ -214,7 +214,7 @@ class TestIsotypic:
         grid = lattice.full_square(5, OFFSITE)
         vals = np.zeros(grid.size)
         chars = dict(zip(lattice.element_names(),
-                         spectral._CHARACTERS["sign1"]))
+                         lattice.CHARACTERS["sign1"]))
         for name, g in zip(lattice.element_names(),
                            lattice.group_elements(OFFSITE)):
             site = lattice.apply_element(g, 3, 1)
