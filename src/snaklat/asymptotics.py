@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.optimize
 
 PITCHFORK_INTERIOR = "pitchfork_interior"
 PITCHFORK_CORNER = "pitchfork_corner"
@@ -34,8 +35,8 @@ ENDINGS = (
     TRANS0_INTERIOR, TRANS0_CORNER, TRANS1_M_NEAR_N, TRANS1_M1,
 )
 
-# ending -> (leading coefficient, exponent, side); mu(d) = C d^e at the lower
-# endpoint, mu(d) = 1 - C d^e at the upper one
+# ending -> (leading coefficient, exponent, side); mu(d) = mu_lo + C d^e at
+# the lower endpoint, mu(d) = mu_hi - C d^e at the upper one
 _TABLE = {
     PITCHFORK_INTERIOR: (3.0, 2.0 / 3.0, "lower"),
     PITCHFORK_CORNER: (3.0 / 4.0 ** (1.0 / 3.0), 2.0 / 3.0, "lower"),
@@ -57,13 +58,19 @@ def ending_side(ending):
 
 
 def predict_fold_mu(ending, d):
-    """Leading-order fold location mu(d) for an ending type, normalized gauge.
+    """Leading-order fold location mu(d) for an ending type, normalized gauge
+    on the window (0, 1).
 
-    Use :func:`predict_fold_mu_gauged` for a concrete nonlinearity.
+    Use :func:`predict_fold_mu_gauged` for a concrete nonlinearity and its
+    own window.
     """
     coeff, exponent, side = _TABLE[ending]
-    dev = coeff * d**exponent
-    return dev if side == "lower" else 1.0 - dev
+    return _from_endpoint(coeff * d**exponent, side, (0.0, 1.0))
+
+
+def _from_endpoint(deviation, side, window):
+    lo, hi = window
+    return lo + deviation if side == "lower" else hi - deviation
 
 
 def gauge_coefficient(nonlinearity, ending):
@@ -74,21 +81,23 @@ def gauge_coefficient(nonlinearity, ending):
     the pitchfork/transcritical constants scale by (A sqrt(b3))^(2/3) and
     sqrt(A b2) respectively, where A = u_+ at the endpoint and b2, b3 are
     the quadratic/cubic Taylor coefficients of f in u there; the fold-ending
-    law 1 - 2d is replaced by 1 - (2 u* / c1) d with u* the colliding root
-    and c1 = -f_mu there.
+    law mu_hi - 2d is replaced by mu_hi - (2 u* / c1) d with u* the colliding
+    root and c1 = -f_mu there.  The endpoints mu_lo, mu_hi are those of
+    ``nonlinearity.window``.
     """
     coeff, _, _ = _TABLE[ending]
+    lo, hi = nonlinearity.window
     if ending in (PITCHFORK_INTERIOR, PITCHFORK_CORNER):
-        a = float(nonlinearity.u_plus(0.0))
-        b3 = _third_derivative(nonlinearity) / 6.0
+        a = float(nonlinearity.u_plus(lo))
+        b3 = _third_derivative(nonlinearity, lo) / 6.0
         return coeff * (a * math.sqrt(b3)) ** (2.0 / 3.0)
     if ending in (TRANS0_INTERIOR, TRANS0_CORNER):
-        a = float(nonlinearity.u_plus(0.0))
-        b2 = float(nonlinearity.f_uu(0.0, 0.0)) / 2.0
+        a = float(nonlinearity.u_plus(lo))
+        b2 = float(nonlinearity.f_uu(0.0, lo)) / 2.0
         return coeff * math.sqrt(a * b2)
     if ending in (FOLD_M_NEAR_N, FOLD_M1):
-        u_star = float(nonlinearity.u_plus(1.0))
-        c1 = -float(nonlinearity.f_mu(u_star, 1.0))
+        u_star = _colliding_root(nonlinearity, hi)
+        c1 = -float(nonlinearity.f_mu(u_star, hi))
         return 2.0 * u_star / c1
     if ending in (TRANS1_M_NEAR_N, TRANS1_M1):
         # the logistic-type family is already normalized at (1, 1); a general
@@ -97,17 +106,29 @@ def gauge_coefficient(nonlinearity, ending):
     raise ValueError(f"unknown ending {ending!r}")
 
 
-def _third_derivative(nonlinearity, h=1e-4):
-    # f_uuu(0, 0) via central differences of f_uu
-    return (nonlinearity.f_uu(h, 0.0) - nonlinearity.f_uu(-h, 0.0)) / (2 * h)
+def _third_derivative(nonlinearity, mu, h=1e-2):
+    # f_uuu(0, mu) by the 5-point central difference of f_uu, exact for an
+    # f_uu of degree 4 or less (a reaction term of degree 6 or less)
+    f_uu = nonlinearity.f_uu
+    return (8.0 * (f_uu(h, mu) - f_uu(-h, mu))
+            - (f_uu(2 * h, mu) - f_uu(-2 * h, mu))) / (12.0 * h)
+
+
+def _colliding_root(nonlinearity, mu):
+    # u_-(mu) = u_+(mu) at a fold endpoint is a double root, which a
+    # sign-change root scan cannot see: Newton on f_u(., mu) from u_+ a
+    # little inside the window
+    lo, hi = nonlinearity.window
+    return float(scipy.optimize.newton(
+        nonlinearity.f_u, nonlinearity.u_plus(mu - 1e-2 * (hi - lo)),
+        fprime=nonlinearity.f_uu, args=(mu,), tol=1e-15))
 
 
 def predict_fold_mu_gauged(nonlinearity, ending, d):
     """Fold location law with the nonlinearity's own gauge factor applied."""
     coeff = gauge_coefficient(nonlinearity, ending)
     _, exponent, side = _TABLE[ending]
-    dev = coeff * d**exponent
-    return dev if side == "lower" else 1.0 - dev
+    return _from_endpoint(coeff * d**exponent, side, nonlinearity.window)
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +291,13 @@ def verify_asymptotics(ending, d_list, fold_finder, nonlinearity):
     if len(d_list) < 3:
         raise ValueError("need at least three coupling values to fit")
     side = ending_side(ending)
+    lo, hi = nonlinearity.window
     exponent_ref = ending_exponent(ending)
     per_d = []
     deviations = []
     for d in sorted(d_list):
         mu_fold = fold_finder(d)
-        dev = mu_fold if side == "lower" else 1.0 - mu_fold
+        dev = mu_fold - lo if side == "lower" else hi - mu_fold
         per_d.append({"d": float(d), "mu_fold": float(mu_fold),
                       "deviation": float(dev),
                       "predicted": float(predict_fold_mu_gauged(

@@ -479,10 +479,11 @@ def tag_stability(branch, nonlinearity, zero_tol=1e-8, check_events=True,
     prev = None
     for i, pt in enumerate(branch.points):
         if pt.u.grid.kind == lattice.WEDGE:
-            rep = spectral.unstable_count(pt.u, nonlinearity, pt.mu, pt.d,
-                                          zero_tol=zero_tol,
-                                          want_vectors=False)
-            pt.unstable_count = rep.n_unstable
+            u_full, jac = spectral.full_square_jacobian(
+                pt.u, nonlinearity, pt.mu, pt.d)
+            pt.unstable_count = spectral.eigencount_above(
+                jac, spectral.zero_band(u_full, nonlinearity, pt.mu, pt.d,
+                                        zero_tol))
         else:
             jac = solver.jacobian(pt.u, nonlinearity, pt.mu, pt.d).tocsr()
             pt.unstable_count = spectral.eigencount_above(jac, zero_tol)

@@ -1,8 +1,10 @@
 """Stability analysis on the unfolded full-square Neumann domain.
 
 Unstable-eigenvalue counts come from the inertia of the symmetric Jacobian,
-computed with a banded LDL^T factorization (no eigensolve needed); dense
-eigendecompositions are kept as a cross-validation oracle for small grids.
+computed with a fill-reducing sparse LDL^T factorization (no eigensolve
+needed) that falls back to LAPACK's pivoted dense LDL^T when its pivots do
+not check out; dense eigendecompositions are kept as a cross-validation
+oracle for small grids.
 Near-zero eigenpairs are extracted by shift-invert iteration and classified
 into D4 isotypic components by character-weighted group averaging.
 
@@ -43,49 +45,35 @@ _DIMS = {"trivial": 1, "sign1": 1, "sign2": 1, "sign3": 1, "two_dim": 2}
 
 
 # ---------------------------------------------------------------------------
-# inertia via banded LDL^T
+# inertia via sparse LDL^T
 
 
-def _lower_banded(matrix):
-    coo = matrix.tocoo()
-    n = matrix.shape[0]
-    mask = coo.row >= coo.col
-    r, c, v = coo.row[mask], coo.col[mask], coo.data[mask]
-    bw = int((r - c).max()) if r.size else 0
-    ab = np.zeros((bw + 1, n))
-    ab[r - c, c] = v
-    return ab, bw
+def ldl_inertia(matrix, pivot_tol=None):
+    """Counts (n_pos, n_neg) of the eigenvalue signs of a symmetric matrix.
 
-
-def banded_ldl_inertia(matrix, pivot_tol=None):
-    """Counts (n_pos, n_neg) of pivot signs of a symmetric banded matrix.
-
-    LDL^T without pivoting; by Sylvester's law the pivot signs give the
-    eigenvalue sign counts.  Raises :class:`FactorizationFailure` on a pivot
-    smaller than ``pivot_tol`` (default 1e-14 times the matrix scale).
+    SuperLU factorizes P A P^T = L U with a fill-reducing symmetric
+    ordering and diagonal pivots only, so U = D L^T and, by Sylvester's law,
+    the signs of diag(U) are the eigenvalue signs.  Raises
+    :class:`FactorizationFailure` when SuperLU left the diagonal (row and
+    column permutations differ) or a pivot is not larger than ``pivot_tol``
+    (default 1e-14 times the largest entry, and at least 1e-14).
     """
-    ab, bw = _lower_banded(matrix.tocsr())
-    n = matrix.shape[0]
-    scale = float(np.max(np.abs(ab))) if ab.size else 1.0
+    csc = sp.csc_matrix(matrix)
     if pivot_tol is None:
-        pivot_tol = 1e-14 * max(scale, 1.0)
-    ab = ab.copy()
-    n_pos = n_neg = 0
-    for k in range(n):
-        d = ab[0, k]
-        if abs(d) <= pivot_tol:
-            raise FactorizationFailure(f"pivot breakdown at column {k}: {d:.3e}")
-        if d > 0:
-            n_pos += 1
-        else:
-            n_neg += 1
-        w = min(bw, n - 1 - k)
-        if w == 0:
-            continue
-        col = ab[1:w + 1, k] / d
-        for j in range(1, w + 1):
-            ab[: w - j + 1, k + j] -= (d * col[j - 1]) * col[j - 1: w]
-    return n_pos, n_neg
+        pivot_tol = 1e-14 * np.max(np.abs(csc.data), initial=1.0)
+    try:
+        lu = spla.splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as exc:  # exactly singular
+        raise FactorizationFailure(str(exc)) from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise FactorizationFailure("off-diagonal pivot")
+    pivots = lu.U.diagonal()
+    smallest = np.min(np.abs(pivots))
+    if not smallest > pivot_tol:  # a NaN pivot fails too
+        raise FactorizationFailure(f"pivot breakdown: {smallest:.3e}")
+    n_pos = int(np.sum(pivots > 0))
+    return n_pos, pivots.size - n_pos
 
 
 def dense_ldl_inertia(matrix):
@@ -110,7 +98,7 @@ def eigencount_above(matrix, threshold, retries=4):
     shift = threshold
     for attempt in range(retries):
         try:
-            n_pos, _ = banded_ldl_inertia(matrix - shift * sp.eye(n))
+            n_pos, _ = ldl_inertia(matrix - shift * sp.eye(n))
             return n_pos
         except FactorizationFailure:
             # nudge the shift off an eigenvalue and retry
@@ -150,6 +138,12 @@ def full_square_jacobian(u_wedge, nonlinearity, mu, d):
     return u_full, jac.tocsr()
 
 
+def zero_band(u_full, nonlinearity, mu, d, zero_tol):
+    """tau = zero_tol * max(1, d * max|f_u|); (-tau, tau) counts as zero."""
+    return zero_tol * max(1.0, abs(d) * float(np.max(np.abs(
+        nonlinearity.f_u(u_full.values, mu)))))
+
+
 def unstable_count(u_wedge, nonlinearity, mu, d, zero_tol=1e-8,
                    want_vectors=True):
     """Inertia-based stability report on the unfolded Neumann square.
@@ -160,8 +154,7 @@ def unstable_count(u_wedge, nonlinearity, mu, d, zero_tol=1e-8,
     eigenpairs are extracted by shift-invert iteration.
     """
     u_full, jac = full_square_jacobian(u_wedge, nonlinearity, mu, d)
-    tau = zero_tol * max(1.0, abs(d) * float(np.max(np.abs(
-        nonlinearity.f_u(u_full.values, mu)))))
+    tau = zero_band(u_full, nonlinearity, mu, d, zero_tol)
     n = jac.shape[0]
     n_above = eigencount_above(jac, tau)
     n_zero = eigencount_above(jac, -tau) - n_above

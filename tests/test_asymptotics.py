@@ -39,9 +39,9 @@ class TestPredictions:
     def test_gauge_coefficients_for_builtins(self):
         cq = model.cubic_quintic()
         assert asy.gauge_coefficient(cq, asy.PITCHFORK_INTERIOR) == \
-            pytest.approx(108 ** (1 / 3), rel=1e-6)
+            pytest.approx(108 ** (1 / 3), rel=1e-12)
         assert asy.gauge_coefficient(cq, asy.PITCHFORK_CORNER) == \
-            pytest.approx(3.0, rel=1e-6)
+            pytest.approx(3.0, rel=1e-12)
         assert asy.gauge_coefficient(cq, asy.FOLD_M_NEAR_N) == \
             pytest.approx(2.0, rel=1e-12)
         qc = model.quadratic_cubic()
@@ -64,9 +64,9 @@ class TestPredictions:
         cq[1, 1], cq[0, 3], cq[0, 5] = -1.0, 1.0, -1.0
         cq = model.polynomial(cq, window=(0.0, 0.25))
         assert cq.u_plus(0.0) == 1.0
-        # b3 comes from a finite difference of f_uu, good to ~1e-8
+        # b3 comes from a 5-point difference of f_uu, exact for a quintic
         assert asy.gauge_coefficient(cq, asy.PITCHFORK_INTERIOR) == \
-            pytest.approx(3.0, rel=1e-7)
+            pytest.approx(3.0, rel=1e-12)
         qc = np.zeros((2, 4))
         qc[1, 1], qc[0, 2], qc[0, 3] = -1.0, 1.0, -1.0
         qc = model.polynomial(qc, window=(0.0, 0.25))
@@ -74,6 +74,32 @@ class TestPredictions:
             pytest.approx(2 * math.sqrt(2), rel=1e-12)
         assert asy.gauge_coefficient(qc, asy.TRANS0_CORNER) == \
             pytest.approx(2.0, rel=1e-12)
+
+    def test_fold_ending_reads_the_window(self):
+        # -mu u + u^3 - u^5 folds at the upper end mu = 1/4 of its window,
+        # where u_- = u_+ = u* = 1/sqrt(2) and c1 = -f_mu = u*, so the law
+        # is mu = 1/4 - (2 u*/c1) d = 1/4 - 2 d
+        c = np.zeros((2, 6))
+        c[1, 1], c[0, 3], c[0, 5] = -1.0, 1.0, -1.0
+        nl = model.polynomial(c, window=(0.0, 0.25))
+        assert asy.gauge_coefficient(nl, asy.FOLD_M_NEAR_N) == \
+            pytest.approx(2.0, rel=1e-12)
+        assert asy.predict_fold_mu_gauged(nl, asy.FOLD_M_NEAR_N, 1e-3) == \
+            pytest.approx(0.248, rel=1e-12)
+        report = asy.verify_asymptotics(
+            asy.FOLD_M_NEAR_N, [1e-5, 1e-4, 1e-3],
+            lambda d: 0.25 - 2.0 * d * (1.0 + 0.1 * d), nl)
+        assert report["exponent"] == pytest.approx(1.0, abs=1e-3)
+        assert report["coefficient_at_reference_exponent"] == \
+            pytest.approx(2.0, rel=1e-3)
+        # the same term moved to the window (0.1, 0.35) keeps its pitchfork
+        # constant 3 at the lower end mu = 0.1
+        c[0, 1] = 0.1
+        nl = model.polynomial(c, window=(0.1, 0.35))
+        assert asy.gauge_coefficient(nl, asy.PITCHFORK_INTERIOR) == \
+            pytest.approx(3.0, rel=1e-12)
+        assert asy.predict_fold_mu_gauged(
+            nl, asy.PITCHFORK_INTERIOR, 1e-3) == pytest.approx(0.13, rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.7, 1.3])
     def test_gauge_invariant_under_rescaling(self, alpha):
@@ -85,7 +111,7 @@ class TestPredictions:
         cq[1, 1], cq[0, 3], cq[0, 5] = -1.0, 2.0 * alpha**2, -alpha**4
         assert asy.gauge_coefficient(
             model.polynomial(cq), asy.PITCHFORK_INTERIOR) == \
-            pytest.approx(108 ** (1 / 3), rel=1e-7)
+            pytest.approx(108 ** (1 / 3), rel=1e-12)
         qc = np.zeros((2, 4))
         qc[1, 1], qc[0, 2], qc[0, 3] = -1.0, 2.0 * alpha, -alpha**2
         assert asy.gauge_coefficient(

@@ -3,8 +3,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from snaklat import lattice, model, solver, spectral
+from snaklat import lattice, model, solver, spectral, studies
 from snaklat.lattice import OFFSITE, ONSITE, Field
 from snaklat.model import PatternId, UBAR, VBAR, anti_continuum_pattern
 
@@ -18,12 +20,12 @@ def random_banded_symmetric(n, bw, rng, shift=0.0):
 
 
 class TestInertia:
-    def test_banded_ldl_matches_eigh(self):
+    def test_ldl_matches_eigh(self):
         rng = np.random.default_rng(12)
         for n, bw in [(10, 1), (25, 3), (60, 7)]:
             a = random_banded_symmetric(n, bw, rng)
             ev = np.linalg.eigvalsh(a)
-            n_pos, n_neg = spectral.banded_ldl_inertia(sp.csr_matrix(a))
+            n_pos, n_neg = spectral.ldl_inertia(sp.csr_matrix(a))
             assert n_pos == int(np.sum(ev > 0))
             assert n_neg == int(np.sum(ev < 0))
 
@@ -46,7 +48,75 @@ class TestInertia:
     def test_breakdown_raises(self):
         a = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(spectral.FactorizationFailure):
-            spectral.banded_ldl_inertia(a)
+            spectral.ldl_inertia(a)
+
+
+def random_sparse_symmetric(n, density, seed, zero_diagonal=0.0):
+    """Sparse symmetric matrix with a fraction ``zero_diagonal`` of its
+    diagonal left at zero."""
+    rng = np.random.default_rng(seed)
+    a = sp.random(n, n, density=density, random_state=rng,
+                  data_rvs=rng.standard_normal)
+    a = sp.triu(a, k=1)
+    diag = rng.standard_normal(n) * (rng.random(n) >= zero_diagonal)
+    return (a + a.T + sp.diags(diag)).tocsr()
+
+
+class TestInertiaProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 60), density=st.floats(0.02, 0.3),
+           seed=st.integers(0, 2**32 - 1), shift=st.floats(-2.0, 2.0),
+           shifted=st.booleans(), zero_diagonal=st.sampled_from([0, 0.5, 1]))
+    def test_counts_match_eigvalsh(self, n, density, seed, shift, shifted,
+                                   zero_diagonal):
+        a = random_sparse_symmetric(n, density, seed, zero_diagonal)
+        threshold = shift if shifted else 0.0
+        ev = np.linalg.eigvalsh(a.toarray())
+        # an eigenvalue on the threshold has no well-defined side
+        assume(np.min(np.abs(ev - threshold)) > 1e-8 * max(1.0, np.max(
+            np.abs(ev))))
+        above = int(np.sum(ev > threshold))
+        try:
+            n_pos, n_neg = spectral.ldl_inertia(
+                a - threshold * sp.eye(n, format="csr"))
+        except spectral.FactorizationFailure:
+            pass  # the checked fast path declined; the oracle path counts
+        else:
+            assert (n_pos, n_neg) == (above, n - above)
+        assert spectral.eigencount_above(a, threshold) == above
+
+    def test_zero_diagonal_falls_back_to_dense(self, monkeypatch):
+        a = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(spectral.FactorizationFailure):
+            spectral.ldl_inertia(a)
+        assert spectral.eigencount_above(a, 0.0) == 1
+        # at scale 1e3 the nudged shifts stay under the pivot tolerance, so
+        # only the dense path can count
+        dense = spectral.dense_ldl_inertia
+        calls = []
+        monkeypatch.setattr(spectral, "dense_ldl_inertia",
+                            lambda m: calls.append(m) or dense(m))
+        assert spectral.eigencount_above(1e3 * a, 0.0) == 1
+        assert len(calls) == 1
+
+
+@pytest.fixture(scope="module")
+def small_snake():
+    nl = model.cubic_quintic()
+    return nl, studies.snake_branch(nl, 1e-3, n_d=6, max_folds=4)
+
+
+class TestUnstableCountProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(where=st.floats(0.0, 1.0))
+    def test_snake_counts_match_dense_spectrum(self, small_snake, where):
+        nl, branch = small_snake
+        pt = branch.points[round(where * (len(branch.points) - 1))]
+        rep = spectral.unstable_count(pt.u, nl, pt.mu, pt.d,
+                                      want_vectors=False)
+        ev = spectral.dense_spectrum(pt.u, nl, pt.mu, pt.d)
+        assert rep.n_unstable == int(np.sum(ev > rep.tau))
+        assert rep.n_zero == int(np.sum(np.abs(ev) < rep.tau))
 
 
 class TestUnstableCount:
