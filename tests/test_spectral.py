@@ -45,10 +45,19 @@ class TestInertia:
                 np.sum(ev > thr)
             )
 
-    def test_breakdown_raises(self):
+    def test_breakdown_raises(self, monkeypatch):
         a = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(spectral.FactorizationFailure):
             spectral.ldl_inertia(a)
+        assert spectral.eigencount_above(a, 0.0) == 1
+        # at scale 1e3 the nudged shifts stay under the pivot tolerance, so
+        # only the dense path can count
+        dense = spectral.dense_ldl_inertia
+        calls = []
+        monkeypatch.setattr(spectral, "dense_ldl_inertia",
+                            lambda m: calls.append(m) or dense(m))
+        assert spectral.eigencount_above(1e3 * a, 0.0) == 1
+        assert len(calls) == 1
 
 
 def random_sparse_symmetric(n, density, seed, zero_diagonal=0.0):
@@ -84,20 +93,6 @@ class TestInertiaProperties:
         else:
             assert (n_pos, n_neg) == (above, n - above)
         assert spectral.eigencount_above(a, threshold) == above
-
-    def test_zero_diagonal_falls_back_to_dense(self, monkeypatch):
-        a = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        with pytest.raises(spectral.FactorizationFailure):
-            spectral.ldl_inertia(a)
-        assert spectral.eigencount_above(a, 0.0) == 1
-        # at scale 1e3 the nudged shifts stay under the pivot tolerance, so
-        # only the dense path can count
-        dense = spectral.dense_ldl_inertia
-        calls = []
-        monkeypatch.setattr(spectral, "dense_ldl_inertia",
-                            lambda m: calls.append(m) or dense(m))
-        assert spectral.eigencount_above(1e3 * a, 0.0) == 1
-        assert len(calls) == 1
 
 
 @pytest.fixture(scope="module")
@@ -216,7 +211,6 @@ class TestCrossingCount:
 
 class TestTransversality:
     def test_critical_eigenvalue_crosses_linearly_in_arclength(self):
-        from snaklat import studies
         nl = model.cubic_quintic()
         fold, branch = studies.find_left_fold(nl, 1, 1, 1e-3, n_d=6,
                                               return_branch=True)
