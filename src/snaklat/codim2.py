@@ -118,36 +118,34 @@ def find_cusp(u0, mu0, d0, nonlinearity, rep, phi1=None, phi2=None,
         return (zv[:n], zv[n:2 * n], zv[2 * n:2 * n + n2],
                 float(zv[-2]), float(zv[-1]))
 
+    lap = lattice.laplacian_matrix(grid)
+    sites, comp = np.arange(n), 2 * n + np.arange(n2)
+    cm = 2 * n + n2
+    # rows of F and J phi1 are the fold rows in both parameters; phi2
+    # enters neither
+    pattern = solver.BlockPattern(cm + 2, solver.fold_blocks(grid, cm, 2) + [
+        (comp, act), solver.operator_block(lap2, 2 * n, 2 * n),
+        (comp, comp), (comp, cm), (comp, cm + 1),
+        (cm, n + sites), (cm + 1, comp)])
+
     def residual(z):
         u_, p1, p2, mu_, d_ = unpack(z)
-        j2, _ = component_jacobian(u_, grid, nonlinearity, mu_, d_, rep)
         return np.concatenate([
             solver.residual_values(u_, grid, nonlinearity, mu_, d_),
-            solver.jacobian_matrix(u_, grid, nonlinearity, mu_, d_) @ p1,
-            j2 @ p2,
+            d_ * (lap @ p1) + nonlinearity.f_u(u_, mu_) * p1,
+            d_ * (lap2 @ p2) + nonlinearity.f_u(u_[act], mu_) * p2,
             [p1 @ p1 - 1.0, p2 @ p2 - 1.0],
         ])
 
     def step(z, F):
         u_, p1, p2, mu_, d_ = unpack(z)
-        j2, _ = component_jacobian(u_, grid, nonlinearity, mu_, d_, rep)
-        # rows of F and J phi1 are the fold rows in both parameters; phi2
-        # enters neither
-        rows = solver.fold_rows(u_, p1, grid, nonlinearity, mu_, d_,
-                                ("mu", "d"))
-        for row in rows:
-            row.insert(2, None)
-        d_act = sp.csr_matrix(
-            (nonlinearity.f_uu(u_, mu_)[act] * p2, (np.arange(n2), act)),
-            shape=(n2, n))
-        rows += [
-            [d_act, None, j2,
-             sp.csr_matrix(nonlinearity.f_umu(u_[act], mu_) * p2).T,
-             sp.csr_matrix(lap2 @ p2).T],
-            [None, sp.csr_matrix(2 * p1), None, None, None],
-            [None, None, sp.csr_matrix(2 * p2), None, None],
-        ]
-        return solver.lu_solve(sp.bmat(rows, format="csc"), -F)
+        matrix = pattern.matrix(
+            *solver.fold_values(u_, p1, grid, nonlinearity, mu_, d_,
+                                ("mu", "d")),
+            nonlinearity.f_uu(u_, mu_)[act] * p2, d_ * lap2.data,
+            nonlinearity.f_u(u_[act], mu_),
+            nonlinearity.f_umu(u_[act], mu_) * p2, lap2 @ p2, 2 * p1, 2 * p2)
+        return solver.lu_solve(matrix, -F, factoring=solver.FOLD_LU)
 
     def left_trust_region(z):
         # d -> 0 is the decoupled line, where every single-cell root

@@ -138,12 +138,10 @@ def _pinned_newton(x0, anchor, border, offset, grid, nonlinearity,
 
     def step(x, F):
         mu, d = _pair(parameter, x[-1], fixed)
-        jac = solver.jacobian_matrix(x[:-1], grid, nonlinearity, mu, d)
-        fp = solver.parameter_column(x[:-1], grid, nonlinearity, mu, d,
-                                     parameter)
-        du, dp = solver.bordered_solve(jac, fp, border[:-1], border[-1],
-                                       -F[:-1], -F[-1:])
-        return np.append(du, dp)
+        return solver.bordered_solve(
+            grid, d, nonlinearity.f_u(x[:-1], mu), -F,
+            solver.parameter_column(x[:-1], grid, nonlinearity, mu, d,
+                                    parameter), border[:-1], border[-1])
 
     def done(x, F):
         return (np.max(np.abs(F[:-1])) <= tol
@@ -296,18 +294,22 @@ def fold_newton(vals, phi, p, fixed, c, grid, nonlinearity, parameter="mu",
     raises :class:`NoConvergence` carrying the last iterate.
     """
     n = grid.size
+    lap = lattice.laplacian_matrix(grid)
 
     def residual(x):
         mu, d = _pair(parameter, x[-1], fixed)
-        jac = solver.jacobian_matrix(x[:n], grid, nonlinearity, mu, d)
+        u, phi = x[:n], x[n:2 * n]
         return np.concatenate([
-            solver.residual_values(x[:n], grid, nonlinearity, mu, d),
-            jac @ x[n:2 * n], [c @ x[n:2 * n] - 1.0]])
+            solver.residual_values(u, grid, nonlinearity, mu, d),
+            d * (lap @ phi) + nonlinearity.f_u(u, mu) * phi,
+            [c @ phi - 1.0]])
 
     def step(x, F):
         mu, d = _pair(parameter, x[-1], fixed)
-        return solver.lu_solve(solver.fold_system(
-            x[:n], x[n:2 * n], c, grid, nonlinearity, mu, d, parameter), -F)
+        return solver.lu_solve(
+            solver.fold_system(x[:n], x[n:2 * n], c, grid, nonlinearity, mu,
+                               d, parameter),
+            -F, factoring=solver.FOLD_LU)
 
     def done(x, F):
         return (not p_range[0] <= x[-1] <= p_range[1]
@@ -506,7 +508,8 @@ def save_branch_csv(branch, path):
         writer.writerow(["index", "mu", "d", "norm", "n_unstable", "event"])
         for i, pt in enumerate(branch.points):
             writer.writerow([
-                i, repr(pt.mu), repr(pt.d), repr(pt.norm),
+                i, repr(float(pt.mu)), repr(float(pt.d)),
+                repr(float(pt.norm)),
                 "" if pt.unstable_count is None else pt.unstable_count,
                 "+".join(events.get(i, [])),
             ])

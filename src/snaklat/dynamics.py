@@ -7,8 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import lattice, solver
 from .lattice import Field
@@ -65,7 +63,6 @@ def integrate_implicit(u0, nonlinearity, mu, d, t_end, dt=0.05,
     deviation = [float(np.max(np.abs(vals - ref)))]
     t = 0.0
     lap = lattice.laplacian_matrix(grid)
-    n = grid.size
     while t < t_end - 1e-12:
         h = min(dt, t_end - t)
         prev = vals
@@ -74,8 +71,9 @@ def integrate_implicit(u0, nonlinearity, mu, d, t_end, dt=0.05,
             return v - prev - h * (d * (lap @ v) + nonlinearity.f(v, mu))
 
         def step(v, F):
-            jac = sp.eye(n) - h * (d * lap + sp.diags(nonlinearity.f_u(v, mu)))
-            return -spla.spsolve(jac.tocsc(), F)
+            # I - h (d L + diag f_u)
+            return -solver.bordered_solve(
+                grid, -h * d, 1.0 - h * nonlinearity.f_u(v, mu), F)
 
         try:
             vals, _, _ = solver.newton(

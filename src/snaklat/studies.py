@@ -34,6 +34,14 @@ def _upper_fold_cap(scale):
     return min(np.sqrt(scale) / 3.0, scale**0.75 / 3.0)
 
 
+def fold_scale(nonlinearity, ending, d, upper):
+    """Window ends (lo, hi) and the predicted distance of the ``ending``
+    fold from the end it belongs to, hi when ``upper``, else lo."""
+    lo, hi = nonlinearity.window
+    mu = asymptotics.predict_fold_mu_gauged(nonlinearity, ending, d)
+    return lo, hi, (hi - mu if upper else mu - lo)
+
+
 def _lower_ending(nonlinearity, N, M):
     corner = (M == N and N <= 2) or (N == 1)
     if nonlinearity.endpoint_lo == model.PITCHFORK:
@@ -51,12 +59,13 @@ def find_left_fold(nonlinearity, N, M, d, symmetry=OFFSITE, n_d=10,
     with the step capped near the predicted fold scale; the cap shrinks and
     the run is repeated if the fold was stepped over.
     """
-    ending = _lower_ending(nonlinearity, N, M)
-    scale = asymptotics.predict_fold_mu_gauged(nonlinearity, ending, d)
+    lo, _, scale = fold_scale(nonlinearity, _lower_ending(nonlinearity, N, M),
+                              d, upper=False)
     pattern = PatternId(N, M, UBAR, symmetry)
     u = prepared_state(nonlinearity, pattern, mu_start, d, n_d)
-    return _first_fold(u, nonlinearity, mu_start, d, (-1.0, 4.0 * scale),
-                       scale / 5.0, -1.0, (-0.5 * scale, mu_start + 0.2),
+    return _first_fold(u, nonlinearity, mu_start, d,
+                       (lo - 1.0, lo + 4.0 * scale), scale / 5.0, -1.0,
+                       (lo - 0.5 * scale, mu_start + 0.2),
                        max_retries, return_branch,
                        f"left fold for (N, M)=({N}, {M}) at d={d}")
 
@@ -74,16 +83,18 @@ def find_right_fold(nonlinearity, N, M, d, symmetry=OFFSITE, n_d=10,
     else:
         ending = (asymptotics.TRANS1_M1 if M == 1 and N >= 3
                   else asymptotics.TRANS1_M_NEAR_N)
-    scale = 1.0 - asymptotics.predict_fold_mu_gauged(nonlinearity, ending, d)
+    lo, hi, scale = fold_scale(nonlinearity, ending, d, upper=True)
     pattern = PatternId(N, M, UBAR, symmetry)
     if mu_start is not None:
         candidates = [mu_start]
-    elif scale < 0.05:
-        candidates = [min(0.7, max(0.2, 1.0 - 1.6 * scale))]
+    elif scale < 0.05 * (hi - lo):
+        candidates = [min(lo + 0.7 * (hi - lo),
+                          max(lo + 0.2 * (hi - lo), hi - 1.6 * scale))]
     else:
         # moderate coupling: the decoupled pattern is continuable to the
         # largest couplings from the middle of the window
-        candidates = [0.7, 0.75, 0.65, 0.6, 0.8, 0.55]
+        candidates = [lo + f * (hi - lo)
+                      for f in (0.7, 0.75, 0.65, 0.6, 0.8, 0.55)]
     u = None
     for mu_try in candidates:
         try:
@@ -96,9 +107,9 @@ def find_right_fold(nonlinearity, N, M, d, symmetry=OFFSITE, n_d=10,
         raise solver.NoConvergence(
             f"could not prepare u-bar({N},{M}) at d={d} from any mu"
         )
-    return _first_fold(u, nonlinearity, mu_start, d, (1.0 - 6.0 * scale, 2.0),
-                       _upper_fold_cap(scale), +1.0,
-                       (mu_start - 0.2, 1.0 + scale), max_retries,
+    return _first_fold(u, nonlinearity, mu_start, d,
+                       (hi - 6.0 * scale, hi + 1.0), _upper_fold_cap(scale),
+                       +1.0, (mu_start - 0.2, hi + scale), max_retries,
                        return_branch,
                        f"right fold for (N, M)=({N}, {M}) at d={d}")
 
@@ -130,15 +141,15 @@ def snake_branch(nonlinearity, d, symmetry=OFFSITE, n_d=20, mu_start=0.5,
     Starts on the v-bar(1,1) segment and follows the branch as cells are
     added; step bands around both window endpoints resolve the fold pairs.
     """
-    lo_scale = asymptotics.predict_fold_mu_gauged(
-        nonlinearity, _lower_ending(nonlinearity, 3, 1), d)
-    hi_scale = 1.0 - asymptotics.predict_fold_mu_gauged(
+    lo, _, lo_scale = fold_scale(
+        nonlinearity, _lower_ending(nonlinearity, 3, 1), d, upper=False)
+    _, hi, hi_scale = fold_scale(
         nonlinearity,
         asymptotics.FOLD_M_NEAR_N if nonlinearity.endpoint_hi == model.FOLD
-        else asymptotics.TRANS1_M_NEAR_N, d)
+        else asymptotics.TRANS1_M_NEAR_N, d, upper=True)
     bands = (
-        (-1.0, 3.0 * lo_scale, lo_scale / 5.0),
-        (1.0 - 5.0 * hi_scale, 2.0, _upper_fold_cap(hi_scale)),
+        (lo - 1.0, lo + 3.0 * lo_scale, lo_scale / 5.0),
+        (hi - 5.0 * hi_scale, hi + 1.0, _upper_fold_cap(hi_scale)),
     )
     # ascending traversal: v-bar(1,1) runs to the right fold first, then the
     # branch alternates left/right folds while cells switch on
@@ -152,7 +163,7 @@ def snake_branch(nonlinearity, d, symmetry=OFFSITE, n_d=20, mu_start=0.5,
         cfg.h_max = float(h_max)
     return continuation.continue_branch(
         u, nonlinearity, mu_start, d, parameter="mu", config=cfg,
-        direction=+1.0, p_bounds=(-2.0 * lo_scale, 1.0 + hi_scale))
+        direction=+1.0, p_bounds=(lo - 2.0 * lo_scale, hi + hi_scale))
 
 
 def expected_fold_sequence(max_folds):

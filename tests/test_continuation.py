@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 
 from snaklat import continuation as ct
@@ -212,3 +214,21 @@ class TestBranchIO:
         assert written
         loaded = lattice.load_profile(written[0])
         assert loaded.grid == branch.points[0].u.grid
+
+    def test_csv_numbers_parse(self, tmp_path):
+        # after a Newton solve mu is a numpy float, whose repr under numpy 2
+        # is "np.float64(...)"
+        d = 1e-3
+        u = studies.prepared_state(NL, PatternId(1, 1, UBAR, OFFSITE), 0.5,
+                                   d, 4)
+        branch = ct.continue_branch(u, NL, 0.5, d,
+                                    config=ct.StepConfig(max_points=6))
+        path = tmp_path / "branch.csv"
+        ct.save_branch_csv(branch, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(branch.points)
+        for row, pt in zip(rows, branch.points):
+            assert float(row["mu"]) == pt.mu
+            assert float(row["d"]) == pt.d
+            assert float(row["norm"]) == pt.norm

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snaklat import lattice
 from snaklat.lattice import (
@@ -128,6 +130,14 @@ class TestUnfold:
         rng = np.random.default_rng(7)
         g = wedge(5, symmetry)
         u = Field(g, rng.standard_normal(g.size))
+        assert np.array_equal(fold(unfold(u)).values, u.values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(symmetry=st.sampled_from([OFFSITE, ONSITE]),
+           n_d=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_fold_unfold_roundtrip_property(self, symmetry, n_d, seed):
+        g = wedge(n_d, symmetry)
+        u = Field(g, np.random.default_rng(seed).standard_normal(g.size))
         assert np.array_equal(fold(unfold(u)).values, u.values)
 
     @pytest.mark.parametrize("symmetry", [OFFSITE, ONSITE])

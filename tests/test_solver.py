@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from snaklat import lattice, model, solver
 from snaklat.lattice import OFFSITE, ONSITE, Field
@@ -39,6 +42,22 @@ class TestResidual:
         u = lattice.constant(g, nl.u_plus(0.5))
         res = solver.residual(u, nl, 0.5, 0.1)
         assert res.norm_inf() < 1e-13
+
+
+class TestResidualProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(symmetry=st.sampled_from([OFFSITE, ONSITE]),
+           n_d=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+           mu=st.floats(0.05, 0.95), d=st.floats(0.0, 0.5))
+    def test_d4_equivariance(self, symmetry, n_d, seed, mu, d):
+        # F(g.u) = g.F(u) for every element g of the D4 action
+        nl = model.cubic_quintic()
+        g = lattice.full_square(n_d, symmetry)
+        u = np.random.default_rng(seed).uniform(-0.2, 1.3, g.size)
+        F = solver.residual_values(u, g, nl, mu, d)
+        for perm in lattice.action_permutations(g, symmetry):
+            assert np.allclose(solver.residual_values(u[perm], g, nl, mu, d),
+                               F[perm], rtol=0, atol=1e-13)
 
 
 class TestJacobian:
@@ -189,42 +208,138 @@ class TestNewtonKernel:
 
 class TestBorderedSolve:
     def test_identity_with_zero_border(self):
-        n = 6
-        J = sp.eye(n, format="csc")
-        rhs = np.arange(1.0, n + 1)
-        x, y = solver.bordered_solve(J, np.zeros(n), np.zeros(n), 1.0, rhs, [0.0])
-        assert np.allclose(x, rhs)
-        assert np.allclose(y, 0.0)
+        g = lattice.wedge(3, OFFSITE)
+        n = g.size
+        rhs = np.append(np.arange(1.0, n + 1), 0.0)
+        x = solver.bordered_solve(g, 0.0, np.ones(n), rhs, np.zeros(n),
+                                  np.zeros(n), 1.0)
+        assert np.allclose(x[:n], rhs[:n])
+        assert np.allclose(x[n], 0.0)
 
     def test_rank_deficient_core_dense_oracle(self):
         rng = np.random.default_rng(9)
-        q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-        lam = np.diag([2.0, -1.0, 0.5, 3.0, 0.0])  # rank-deficient
-        J = q @ lam @ q.T
-        phi = q[:, 4]  # kernel vector
-        rhs = rng.standard_normal(5)
-        x, y = solver.bordered_solve(sp.csc_matrix(J), phi, phi, 0.0, rhs, [0.7])
-        big = np.zeros((6, 6))
-        big[:5, :5] = J
-        big[:5, 5] = phi
-        big[5, :5] = phi
-        expect = np.linalg.solve(big, np.concatenate([rhs, [0.7]]))
-        assert np.allclose(np.concatenate([x, y]), expect, atol=1e-10)
+        g = lattice.wedge(4, OFFSITE)
+        n = g.size
+        # d*L annihilates constants
+        phi = np.ones(n) / np.sqrt(n)
+        rhs = np.append(rng.standard_normal(n), 0.7)
+        x = solver.bordered_solve(g, 0.3, np.zeros(n), rhs, phi, phi, 0.0)
+        big = np.zeros((n + 1, n + 1))
+        big[:n, :n] = 0.3 * lattice.laplacian_matrix(g).toarray()
+        big[:n, n] = phi
+        big[n, :n] = phi
+        assert np.allclose(x, np.linalg.solve(big, rhs), atol=1e-10)
 
     def test_arclength_row_satisfied_exactly(self):
         rng = np.random.default_rng(10)
-        n = 8
-        J = sp.csc_matrix(np.diag(rng.uniform(1, 2, n)))
+        g = lattice.wedge(4, OFFSITE)
+        n = g.size
         t_u = rng.standard_normal(n)
         t_p = 0.8
         f_p = rng.standard_normal(n)
-        rhs_top = rng.standard_normal(n)
         c = 0.3
-        x, y = solver.bordered_solve(J, f_p, t_u, t_p, rhs_top, [c])
-        assert abs(t_u @ x + t_p * y[0] - c) < 1e-12
+        x = solver.bordered_solve(g, 0.0, rng.uniform(1, 2, n),
+                                  np.append(rng.standard_normal(n), c),
+                                  f_p, t_u, t_p)
+        assert abs(t_u @ x[:n] + t_p * x[n] - c) < 1e-12
 
     def test_singular_bordered_reported(self):
-        J = sp.csc_matrix(np.zeros((3, 3)))
+        g = lattice.wedge(2, OFFSITE)
         with pytest.raises(solver.SingularBorderedSystem):
-            solver.bordered_solve(J, np.zeros(3), np.zeros(3), 0.0,
-                                  np.ones(3), [0.0])
+            solver.bordered_solve(g, 0.0, np.zeros(3), np.append(np.ones(3), 0.0),
+                                  np.zeros(3), np.zeros(3), 0.0)
+
+
+def random_grid(kind, symmetry, n_d):
+    if kind == "wedge":
+        return lattice.wedge(n_d, symmetry)
+    return lattice.full_square(n_d, symmetry)
+
+
+class TestAssemblerProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["wedge", "full"]),
+           symmetry=st.sampled_from([OFFSITE, ONSITE]),
+           n_d=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+           mu=st.floats(0.05, 0.95), d=st.floats(0.0, 0.5),
+           bordered=st.booleans())
+    def test_matches_bmat_and_dense_solve(self, kind, symmetry, n_d, seed,
+                                          mu, d, bordered):
+        nl = model.cubic_quintic()
+        g = random_grid(kind, symmetry, n_d)
+        n = g.size
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(-0.2, 1.3, n)
+        jac = d * lattice.laplacian_matrix(g) + sp.diags(nl.f_u(u, mu))
+        border = ()
+        expect = jac
+        if bordered:
+            border = (rng.standard_normal(n), rng.standard_normal(n),
+                      rng.standard_normal())
+            b, c, delta = border
+            expect = sp.bmat([[jac, sp.csc_matrix(b).T],
+                              [sp.csc_matrix(c), sp.csc_matrix([[delta]])]])
+        dense = expect.toarray()
+        assert np.array_equal(
+            solver.bordered_matrix(g, d, nl.f_u(u, mu), *border).toarray(),
+            dense)
+        assume(np.linalg.cond(dense) < 1e5)
+        rhs = rng.standard_normal(dense.shape[0])
+        x = solver.bordered_solve(g, d, nl.f_u(u, mu), rhs, *border)
+        ref = np.linalg.solve(dense, rhs)
+        assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @settings(max_examples=20, deadline=None)
+    @given(kind=st.sampled_from(["wedge", "full"]),
+           symmetry=st.sampled_from([OFFSITE, ONSITE]),
+           n_d=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+           parameter=st.sampled_from(["mu", "d"]))
+    def test_fold_system_matches_bmat(self, kind, symmetry, n_d, seed,
+                                      parameter):
+        nl = model.cubic_quintic()
+        g = random_grid(kind, symmetry, n_d)
+        rng = np.random.default_rng(seed)
+        u, phi, c = (rng.standard_normal(g.size) for _ in range(3))
+        mu, d = 0.4, 0.03
+        lap = lattice.laplacian_matrix(g)
+        jac = d * lap + sp.diags(nl.f_u(u, mu))
+        f_p, jphi_p = ((nl.f_mu(u, mu), nl.f_umu(u, mu) * phi)
+                       if parameter == "mu" else (lap @ u, lap @ phi))
+        expect = sp.bmat([
+            [jac, None, sp.csc_matrix(f_p).T],
+            [sp.diags(nl.f_uu(u, mu) * phi), jac, sp.csc_matrix(jphi_p).T],
+            [None, sp.csc_matrix(c), None]])
+        assert np.array_equal(
+            solver.fold_system(u, phi, c, g, nl, mu, d, parameter).toarray(),
+            expect.toarray())
+
+    def test_failed_check_returns_oracle(self, monkeypatch):
+        nl = model.cubic_quintic()
+        g = lattice.wedge(6, OFFSITE)
+        rng = np.random.default_rng(11)
+        u = rng.uniform(0.0, 1.2, g.size)
+        border = (rng.standard_normal(g.size), rng.standard_normal(g.size),
+                  0.5)
+        rhs = rng.standard_normal(g.size + 1)
+        matrix = solver.bordered_matrix(g, 0.05, nl.f_u(u, 0.5), *border)
+        oracle = spla.splu(matrix).solve(rhs)
+        real, calls = spla.splu, []
+
+        class Perturbed:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, r):
+                return self.lu.solve(r) * (1.0 + 1e-8)
+
+        def splu(matrix, **options):
+            calls.append(options)
+            lu = real(matrix, **options)
+            return Perturbed(lu) if options else lu
+
+        monkeypatch.setattr(spla, "splu", splu)
+        x = solver.bordered_solve(g, 0.05, nl.f_u(u, 0.5), rhs, *border)
+        ordering, threshold = solver.BORDERED_LU
+        assert calls == [{"permc_spec": ordering,
+                          "diag_pivot_thresh": threshold}, {}]
+        assert np.array_equal(x, oracle)

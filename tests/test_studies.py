@@ -2,10 +2,28 @@ import numpy as np
 import pytest
 
 from snaklat import continuation as ct
-from snaklat import lattice, model, spectral, studies
+from snaklat import asymptotics, lattice, model, spectral, studies
 from snaklat.lattice import OFFSITE
 
 NL = model.cubic_quintic()
+
+
+class TestFoldScale:
+    def test_scales_read_the_window(self):
+        # -mu u + u^3 - u^5 on (0, 1/4) folds at mu = 1/4 - 2 d
+        c = np.zeros((2, 6))
+        c[1, 1], c[0, 3], c[0, 5] = -1.0, 1.0, -1.0
+        nl = model.polynomial(c, window=(0.0, 0.25))
+        lo, hi, scale = studies.fold_scale(nl, asymptotics.FOLD_M_NEAR_N,
+                                           1e-3, upper=True)
+        assert (lo, hi) == (0.0, 0.25)
+        assert scale == pytest.approx(0.002, rel=1e-9)
+        # moved to (0.1, 0.35), the lower fold sits 3 d^(2/3) above 0.1
+        c[0, 1] = 0.1
+        nl = model.polynomial(c, window=(0.1, 0.35))
+        _, _, scale = studies.fold_scale(nl, asymptotics.PITCHFORK_INTERIOR,
+                                         1e-3, upper=False)
+        assert scale == pytest.approx(0.03, rel=1e-9)
 
 
 class TestExpectedFoldSequence:
