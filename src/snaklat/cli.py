@@ -176,13 +176,16 @@ def cmd_asym(cfg, out_dir, seed):
     N = int(run.get("N", 3))
     M = int(run.get("M", 1))
     fold = studies.find_right_fold(nl, N, M, d, symmetry=symmetry, n_d=n_d)
+    lo, hi = nl.window
     results = studies.asymmetric_fan(
-        fold, nl, symmetry,
+        fold, nl,
         eps=run.get("eps"),
         config=continuation.StepConfig(
             max_points=int(run.get("max_points", 2500)),
-            refine_bands=((1 - 10 * d, 2.0, (2 * d) ** 0.75 / 3.0),
-                          (-1.0, 0.15, 0.005))))
+            refine_bands=((hi - 10 * d * (hi - lo), lo + 2.0 * (hi - lo),
+                           (2 * d) ** 0.75 / 3.0),
+                          (lo - 1.0 * (hi - lo), lo + 0.15 * (hi - lo),
+                           0.005))))
     written = []
     summary = []
     for label, seed_pt, branch, reconnect in results:
@@ -210,7 +213,7 @@ def cmd_isola(cfg, out_dir, seed):
     N = int(run.get("N", 4))
     branch = studies.trace_pattern_isola(
         nl, N, d, n_d=n_d, symmetry=symmetry,
-        mu_start=float(run.get("mu_start", 0.7)),
+        mu_start=run.get("mu_start"),
         max_points=int(run.get("max_points", 8000)))
     path = os.path.join(out_dir, "isola.csv")
     continuation.save_branch_csv(branch, path)
@@ -223,12 +226,13 @@ def cmd_isola(cfg, out_dir, seed):
 
 def cmd_cusp(cfg, out_dir, seed):
     nl = _nonlinearity(cfg)
-    n_d, _ = _grid_args(cfg)
+    n_d, symmetry = _grid_args(cfg)
     run = cfg.get("run", {})
     n_range = run.get("N_range", [4, 5, 6, 7])
     bracket = tuple(run.get("d_bracket", (0.04, 0.12)))
     points, fit = codim2.cusp_sequence(
-        [int(n) for n in n_range], nl, n_d=n_d, d_bracket=bracket)
+        [int(n) for n in n_range], nl, n_d=n_d, symmetry=symmetry,
+        d_bracket=bracket)
     path = os.path.join(out_dir, "cusps.csv")
     with open(path, "w") as fh:
         fh.write("N,mu_N,d_N,nullity_check,converged\n")

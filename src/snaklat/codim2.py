@@ -4,14 +4,14 @@ At an isola-branch collision two folds meet at the same solution, and the
 two null vectors lie in different D4 isotypic components: one in the
 symmetric (wedge) component, one in a sign representation.  Restricting
 each null-vector equation to its component makes the extended system square
-in (u, phi1, phi2, mu, d).  Sign-component fields live on the sub-lattice
-of wedge sites not fixed by any character-negative mirror, with the folded
-Laplacian twisted by the character.
+in (u, phi1, phi2, mu, d).  Sign-component fields live on the orbit-space
+grid (D4, sign_k): the wedge sites not fixed by any character-negative
+mirror, with the folded Laplacian twisted by the character.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.optimize
@@ -29,38 +29,27 @@ class WrongNullity(solver.SolverError):
     pass
 
 
+def component(grid, rep):
+    """The ``rep`` component of a wedge grid, (D4, rep), and the wedge
+    index of each of its sites."""
+    comp = replace(grid, rep=rep)
+    return comp, np.searchsorted(lattice.site_indices(grid),
+                                 lattice.site_indices(comp))
+
+
 def component_jacobian(values, grid, nonlinearity, mu, d, rep):
     """Jacobian restricted to the component of a one-dimensional
     representation (``trivial`` gives the wedge Jacobian)."""
-    lap, act = lattice.character_laplacian(grid, rep)
+    comp, act = component(grid, rep)
     diag = sp.diags(nonlinearity.f_u(values[act], mu))
-    return (d * lap + diag).tocsr(), act
-
-
-def expand_component(vec, act, grid, rep):
-    """Embed an active-site component vector as a full-square field."""
-    full = lattice.full_square(grid.half_width, grid.symmetry)
-    chars = lattice.CHARACTERS[rep]
-    pos = {int(i): k for k, i in enumerate(act)}
-    out = np.zeros(full.size)
-    for i, (n, m) in enumerate(full.sites()):
-        (fn, fm), g_idx = lattice.fold_site((n, m), grid.symmetry)
-        j = grid.index(fn, fm)
-        if j in pos:
-            out[i] = chars[g_idx] * vec[pos[j]]
-    nrm = np.linalg.norm(out)
-    return Field(full, out / nrm if nrm > 0 else out)
-
-
-def component_weights(grid, act):
-    return lattice.orbit_weights(grid)[act]
+    return (d * lattice.laplacian_matrix(comp) + diag).tocsr(), act
 
 
 def smallest_component_eig(values, grid, nonlinearity, mu, d, rep):
     """Eigenpair of the rep-component Jacobian nearest zero, with the vector
     on the active sites in wedge (action) coordinates."""
     jac, act = component_jacobian(values, grid, nonlinearity, mu, d, rep)
-    w = component_weights(grid, act)
+    w = lattice.orbit_weights(replace(grid, rep=rep))
     vals, vecs = spectral.eigenpairs_near_zero(lattice.symmetric_form(jac, w))
     return float(vals[0]), vecs[0] / np.sqrt(w), act
 
@@ -98,7 +87,8 @@ def find_cusp(u0, mu0, d0, nonlinearity, rep, phi1=None, phi2=None,
     """
     grid = u0.grid
     n = grid.size
-    lap2, act = lattice.character_laplacian(grid, rep)
+    grid2, act = component(grid, rep)
+    lap2 = lattice.laplacian_matrix(grid2)
     n2 = len(act)
 
     vals = u0.values.copy()
@@ -200,7 +190,8 @@ def find_cusp(u0, mu0, d0, nonlinearity, rep, phi1=None, phi2=None,
 
     phi1_full = lattice.unfold(Field(grid, p1 / np.linalg.norm(p1)))
     phi1_full.values /= np.linalg.norm(phi1_full.values)
-    phi2_full = expand_component(p2, act, grid, rep)
+    phi2_full = lattice.unfold(Field(grid2, p2))
+    phi2_full.values /= np.linalg.norm(phi2_full.values)
     return CuspPoint(u=wedge_u, mu=mu_, d=d_, phi1=phi1_full,
                      phi2=phi2_full, rep=rep, residual_inf=fnorm,
                      null_residuals=(null1, null2))
@@ -225,12 +216,12 @@ def component_nullities(u_wedge, nonlinearity, mu, d, rep, tol=1e-6):
     """Near-zero eigenvalue counts of the trivial- and rep-component
     Jacobians (inertia of the shifted symmetric forms)."""
     grid = u_wedge.grid
-    j_rep, act = component_jacobian(u_wedge.values, grid, nonlinearity, mu,
-                                    d, rep)
+    j_rep, _ = component_jacobian(u_wedge.values, grid, nonlinearity, mu,
+                                  d, rep)
     counts = []
     for jac, w in ((solver.jacobian_matrix(u_wedge.values, grid, nonlinearity,
                                            mu, d), lattice.orbit_weights(grid)),
-                   (j_rep, component_weights(grid, act))):
+                   (j_rep, lattice.orbit_weights(replace(grid, rep=rep)))):
         sym = lattice.symmetric_form(jac, w)
         counts.append(spectral.eigencount_above(sym, -tol)
                       - spectral.eigencount_above(sym, tol))

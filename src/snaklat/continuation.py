@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,10 +101,8 @@ class Branch:
 
 def state_norm(u):
     """l2 norm of the unfolded full-square field (the diagram ordinate)."""
-    if u.grid.kind == lattice.WEDGE:
-        w = lattice.orbit_weights(u.grid)
-        return float(np.sqrt(np.sum(w * u.values**2)))
-    return float(np.linalg.norm(u.values))
+    w = lattice.orbit_weights(u.grid)
+    return float(np.sqrt(np.sum(w * u.values**2)))
 
 
 def _pair(parameter, p, fixed):
@@ -158,13 +156,20 @@ def continue_branch(u0, nonlinearity, mu, d, parameter="mu",
     ``u0`` must satisfy the residual tolerance at (mu, d); ``direction``
     selects the initial parameter orientation.  Returns a :class:`Branch`
     whose points all satisfy the corrector tolerance; a corrector stall ends
-    the branch with an End event rather than raising.
+    the branch with an End event rather than raising.  Arclength is measured
+    in the full-square norm of the state, except on the wedge, whose step
+    bands are tuned to its unweighted norm.
     """
     cfg = config or StepConfig()
     grid = u0.grid
     p0, fixed = _pair(parameter, mu, d)
     if p_bounds is None:
         p_bounds = (-np.inf, np.inf)
+    metric = np.append(np.ones(grid.size) if grid.group == lattice.D4
+                       else lattice.orbit_weights(grid), 1.0)
+
+    def norm(v):
+        return np.sqrt(v.dot(metric * v))
 
     vals0 = np.asarray(u0.values, dtype=float)
     res0 = solver.residual_values(vals0, grid, nonlinearity, mu, d)
@@ -187,7 +192,7 @@ def continue_branch(u0, nonlinearity, mu, d, parameter="mu",
     if nat is None:
         raise CorrectorStalled("could not take the initial natural step")
     t = np.concatenate([nat.values - vals0, [dp]])
-    t /= np.linalg.norm(t)
+    t /= norm(t)
 
     branch = Branch(parameter=parameter)
     branch.events.append((0, START))
@@ -208,10 +213,10 @@ def continue_branch(u0, nonlinearity, mu, d, parameter="mu",
         predicted = x + h_eff * t
         try:
             # corrector: Newton pinned to the hyperplane through the
-            # predicted point orthogonal to the tangent
+            # predicted point orthogonal to the tangent in the metric
             x_new, iters = _pinned_newton(
-                predicted, predicted, t, 0.0, grid, nonlinearity, parameter,
-                fixed, cfg.corrector_tol, cfg.max_corrector_iters)
+                predicted, predicted, metric * t, 0.0, grid, nonlinearity,
+                parameter, fixed, cfg.corrector_tol, cfg.max_corrector_iters)
         except solver.SolverError:
             h = 0.5 * h_eff
             if h < cfg.h_min:
@@ -220,13 +225,13 @@ def continue_branch(u0, nonlinearity, mu, d, parameter="mu",
             continue
 
         secant = x_new - x
-        step_len = np.linalg.norm(secant)
+        step_len = norm(secant)
         if step_len < cfg.h_min:
             branch.events.append((len(branch.points) - 1, END))
             return branch
-        strayed = (np.linalg.norm(x_new - predicted)
+        strayed = (norm(x_new - predicted)
                    > cfg.max_predictor_distance * h_eff + 10 * cfg.h_min)
-        reversed_ = (secant / step_len) @ t < cfg.min_tangent_align
+        reversed_ = (secant / step_len) @ (metric * t) < cfg.min_tangent_align
         if strayed or reversed_:
             h = 0.5 * h_eff
             if h < cfg.h_min:
@@ -253,8 +258,8 @@ def continue_branch(u0, nonlinearity, mu, d, parameter="mu",
         x, t = x_new, t_new
 
         if cfg.detect_closure and idx >= cfg.closure_min_points:
-            if (np.linalg.norm(x_new - x0) <= 2 * max(h, step_len)
-                    and t_new @ t0 > cfg.closure_align):
+            if (norm(x_new - x0) <= 2 * max(h, step_len)
+                    and t_new @ (metric * t0) > cfg.closure_align):
                 branch.closed = True
                 first = branch.points[0]
                 branch.points.append(_make_point(first.u.values, grid,
@@ -400,36 +405,36 @@ def detect_and_refine_folds(branch, nonlinearity, refine=True):
 
 
 # ---------------------------------------------------------------------------
-# branch switching and isolas
+# branch switching
 
 
-def asymmetry(values, grid, symmetry):
-    """Distance of a full-square field from its group average."""
-    return float(np.linalg.norm(values - lattice.symmetrize(values, grid,
-                                                            symmetry)))
+def asymmetry(u):
+    """Distance of a field, unfolded to the full square, from its D4
+    average."""
+    full = lattice.unfold(u)
+    return float(np.linalg.norm(
+        full.values - lattice.symmetrize(full.values, full.grid)))
 
 
 def switch_branch(fold, psi, nonlinearity, eps=None, max_retries=4,
                   tol=1e-10, mu_offsets=(0.0,)):
-    """Step off a fold along a critical direction, dropping all symmetry.
+    """Step off a fold along a critical direction, on the grid of ``psi``.
 
-    ``psi`` is a near-null eigenvector on the full square (unit norm).  The
-    corrected point solves {F(u, mu) = 0, <psi, u - u_fold> = eps} with mu
-    free, which parametrizes the bifurcating branch by its asymmetric
-    amplitude.  On failure eps is halved up to ``max_retries`` times; when
-    the crossing mode is degenerate exactly at the fold (two-dimensional
-    representation planes), starting from a slightly offset mu regularizes
-    the pinned system, so ``mu_offsets`` are tried in order.
+    ``psi`` is a near-null eigenvector on the full square, or folded onto
+    the orbit space of a subgroup that fixes it.  The corrected point solves
+    {F(u, mu) = 0, <psi, u - u_fold> = eps} with mu free and psi of unit
+    norm, both in the orbit-weighted (the full-square) inner product, which
+    parametrizes the bifurcating branch by its asymmetric amplitude.  On
+    failure eps is halved up to ``max_retries`` times; when the crossing
+    mode is degenerate exactly at the fold (two-dimensional representation
+    planes), starting from a slightly offset mu regularizes the pinned
+    system, so ``mu_offsets`` are tried in order.
     """
-    u_sym = lattice.unfold(fold.u) if fold.u.grid.kind == lattice.WEDGE \
-        else fold.u
-    grid = lattice.full_square(u_sym.grid.half_width, None,
-                               window=fold.u.grid.symmetry
-                               if fold.u.grid.kind == lattice.WEDGE
-                               else u_sym.grid.symmetry)
-    base = u_sym.values
+    grid = psi.grid
+    base = lattice.fold(lattice.unfold(fold.u), grid).values
+    w = lattice.orbit_weights(grid)
     psi_v = np.asarray(psi.values, dtype=float)
-    psi_v = psi_v / np.linalg.norm(psi_v)
+    psi_v = psi_v / np.sqrt(psi_v @ (w * psi_v))
     if eps is None:
         eps = 1e-2 * max(1.0, float(np.max(np.abs(base))))
     if eps == 0.0:
@@ -437,7 +442,7 @@ def switch_branch(fold, psi, nonlinearity, eps=None, max_retries=4,
                            norm=state_norm(Field(grid, base)))
 
     anchor = np.append(base, fold.mu)
-    border = np.append(psi_v, 0.0)
+    border = np.append(w * psi_v, 0.0)
     for _ in range(max_retries + 1):
         for mu_off in mu_offsets:
             x0 = np.append(base + eps * psi_v, fold.mu + mu_off)
@@ -450,15 +455,6 @@ def switch_branch(fold, psi, nonlinearity, eps=None, max_retries=4,
             return BranchPoint(u=u, mu=x[-1], d=fold.d, norm=state_norm(u))
         eps *= 0.5
     raise NoConvergence("branch switching failed for all retried amplitudes")
-
-
-def trace_isola(seed, nonlinearity, parameter="mu", config=None,
-                direction=1.0, p_bounds=None):
-    """Continue from a seed with closure detection active."""
-    cfg = replace(config or StepConfig(), detect_closure=True)
-    return continue_branch(seed.u, nonlinearity, seed.mu, seed.d,
-                           parameter=parameter, config=cfg,
-                           direction=direction, p_bounds=p_bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -480,15 +476,11 @@ def tag_stability(branch, nonlinearity, zero_tol=1e-8, check_events=True,
         near_event.update(range(i - event_window, i + event_window + 1))
     prev = None
     for i, pt in enumerate(branch.points):
-        if pt.u.grid.kind == lattice.WEDGE:
-            u_full, jac = spectral.full_square_jacobian(
-                pt.u, nonlinearity, pt.mu, pt.d)
-            pt.unstable_count = spectral.eigencount_above(
-                jac, spectral.zero_band(u_full, nonlinearity, pt.mu, pt.d,
-                                        zero_tol))
-        else:
-            jac = solver.jacobian(pt.u, nonlinearity, pt.mu, pt.d).tocsr()
-            pt.unstable_count = spectral.eigencount_above(jac, zero_tol)
+        u_full, jac = spectral.full_square_jacobian(pt.u, nonlinearity, pt.mu,
+                                                    pt.d)
+        pt.unstable_count = spectral.eigencount_above(
+            jac, spectral.zero_band(u_full, nonlinearity, pt.mu, pt.d,
+                                    zero_tol))
         if (check_events and prev is not None and pt.unstable_count != prev
                 and i not in near_event):
             raise MissedEvent(

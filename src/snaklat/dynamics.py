@@ -52,44 +52,6 @@ def integrate(u0, nonlinearity, mu, d, t_end, n_samples=81, rtol=1e-8,
     return Trajectory(times=sol.t, states=states, deviation=deviation)
 
 
-def integrate_implicit(u0, nonlinearity, mu, d, t_end, dt=0.05,
-                       newton_tol=1e-10, reference=None):
-    """Backward-Euler fallback for stiff (large-coupling) experiments."""
-    grid = u0.grid
-    vals = u0.values.copy()
-    ref = (reference.values if reference is not None else u0.values)
-    times = [0.0]
-    states = [Field(grid, vals.copy())]
-    deviation = [float(np.max(np.abs(vals - ref)))]
-    t = 0.0
-    lap = lattice.laplacian_matrix(grid)
-    while t < t_end - 1e-12:
-        h = min(dt, t_end - t)
-        prev = vals
-
-        def residual(v):
-            return v - prev - h * (d * (lap @ v) + nonlinearity.f(v, mu))
-
-        def step(v, F):
-            # I - h (d L + diag f_u)
-            return -solver.bordered_solve(
-                grid, -h * d, 1.0 - h * nonlinearity.f_u(v, mu), F)
-
-        try:
-            vals, _, _ = solver.newton(
-                residual, step, prev,
-                lambda v, F: np.max(np.abs(F)) <= newton_tol, 50)
-        except solver.NoConvergence as exc:
-            raise StepUnderflow(f"implicit step did not converge: {exc}") \
-                from exc
-        t += h
-        times.append(t)
-        states.append(Field(grid, vals.copy()))
-        deviation.append(float(np.max(np.abs(vals - ref))))
-    return Trajectory(times=np.array(times), states=states,
-                      deviation=np.array(deviation))
-
-
 def growth_rate(trajectory, window=None):
     """Exponential rate fitted to log(deviation) over a time window."""
     t = trajectory.times

@@ -1,15 +1,27 @@
 """Computational domains, D4 symmetry actions, and the discrete Laplacian.
 
-Two kinds of domain are supported: the symmetry-reduced wedge
-``{(n, m): 1 <= m <= n <= N_d}`` representing one eighth of the plane, and
-truncated full squares used for stability analysis and asymmetric states.
-Off-site fields are symmetric about the plaquette center (1/2, 1/2), on-site
-fields about the lattice site (1, 1).
+Every grid is the orbit space of a subgroup Sigma of D4 acting on a
+full-square window, twisted by a one-dimensional D4 character chi.  The
+window is [1-N_d, N_d]^2 for off-site fields, symmetric about the plaquette
+center (1/2, 1/2), and [2-N_d, N_d]^2 for on-site fields, symmetric about
+the lattice site (1, 1).  A field on the grid stands for the full-square
+field with u(g x) = chi(g) u(x) for g in Sigma.  Its sites are the
+lexicographically largest point of each Sigma-orbit, in ascending order,
+less those fixed by an element with chi = -1 (the field vanishes there);
+its weights are the orbit sizes.  The special cases are
 
-The Laplacian is the 5-point stencil closed by (a) folding out-of-wedge
-neighbors back into the wedge through the symmetry group and (b) first-order
-mirror ghost cells (``u_outside = u_boundary``) at the outer truncation
-boundary.  Folding accumulates multiplicities, so the wedge operator is not
+* the wedge ``{(n, m): 1 <= m <= n <= N_d}``, one eighth of the plane,
+  on which patterns are computed: (D4, trivial);
+* the full square, for stability analysis and asymmetric states:
+  ({e}, trivial);
+* the sign components of the cusp finder: (D4, sign_k);
+* the fixed-point subspace Fix(Sigma) of an asymmetric branch:
+  (Sigma, trivial).
+
+The Laplacian is the 5-point stencil closed by first-order mirror ghost
+cells (``u_outside = u_boundary``): each neighbor is clamped into the
+window, then mapped to its orbit representative by some g in Sigma with
+weight chi(g).  Folding accumulates multiplicities, so the operator is not
 symmetric as a plain matrix; it is self-adjoint in the orbit-weighted inner
 product, and :func:`symmetric_form` exposes the similarity-transformed
 symmetric matrix used for eigenvalue counting.
@@ -28,9 +40,6 @@ import scipy.sparse as sp
 OFFSITE = "offsite"
 ONSITE = "onsite"
 
-WEDGE = "wedge"
-FULL = "full"
-
 # D4 elements as affine maps (n, m) -> (a11*n + a12*m + b1, a21*n + a22*m + b2),
 # ordered: identity, rot90, rot180, rot270, mirror_v, mirror_h, mirror_diag,
 # mirror_anti.  For the off-site action the center is (1/2, 1/2); on-site (1, 1).
@@ -46,6 +55,8 @@ _LINEAR_PARTS = (
     (0, 1, 1, 0),    # md : swap
     (0, -1, -1, 0),  # ma : anti-diagonal
 )
+
+D4 = _ELEMENT_NAMES
 
 # D4 characters on the elements in the order above; ``two_dim`` is the trace
 # of the two-dimensional representation
@@ -97,101 +108,75 @@ def orbit_size(site, symmetry):
     return len(orbit(site, symmetry))
 
 
-def fold_site(site, symmetry):
-    """Map a lattice site into the wedge 1 <= m <= n.
-
-    Returns ``((n, m), k)`` where k indexes the group element that was
-    applied.  The wedge is a strict fundamental domain for both actions, so
-    the image is unique.
-    """
-    n, m = site
-    for k, g in enumerate(_group(symmetry)):
-        fn, fm = apply_element(g, n, m)
-        if 1 <= fm <= fn:
-            return (fn, fm), k
-    raise AssertionError(f"site {site} has no wedge image")  # pragma: no cover
+@lru_cache(maxsize=None)
+def _is_subgroup(names):
+    linear = {_LINEAR_PARTS[_ELEMENT_NAMES.index(g)] for g in names}
+    return bool(linear) and all(
+        (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+         a21 * b11 + a22 * b21, a21 * b12 + a22 * b22) in linear
+        for a11, a12, a21, a22 in linear for b11, b12, b21, b22 in linear)
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """A finite index set with flat row-major (n, then m) ordering."""
+    """Orbit space of the subgroup ``group`` of D4 (element names) on the
+    full-square window of ``half_width``, twisted by the one-dimensional
+    character ``rep``; ``symmetry`` is the center of the D4 action.  Sites
+    have flat ascending (n, then m) order."""
 
-    kind: str
     half_width: int
-    symmetry: str | None
-    n_min: int
-    n_max: int
+    symmetry: str
+    group: tuple = D4
+    rep: str = "trivial"
 
     def __post_init__(self):
-        if self.kind not in (WEDGE, FULL):
-            raise ValueError(f"unknown grid kind: {self.kind!r}")
         if self.half_width < 1:
             raise ValueError("half_width must be positive")
-        if self.kind == WEDGE and self.symmetry not in (OFFSITE, ONSITE):
-            raise ValueError("wedge grids require an offsite or onsite symmetry")
-        if self.symmetry not in (OFFSITE, ONSITE, None):
+        if self.symmetry not in (OFFSITE, ONSITE):
             raise ValueError(f"unknown symmetry class: {self.symmetry!r}")
+        if self.rep not in CHARACTERS or CHARACTERS[self.rep][0] != 1:
+            raise ValueError(f"not a one-dimensional character: {self.rep!r}")
+        group = tuple(g for g in _ELEMENT_NAMES if g in self.group)
+        if len(group) != len(set(self.group)) or not _is_subgroup(group):
+            raise ValueError(f"not a subgroup of D4: {self.group!r}")
+        object.__setattr__(self, "group", group)
 
     @property
     def size(self):
-        if self.kind == WEDGE:
-            return self.half_width * (self.half_width + 1) // 2
-        w = self.n_max - self.n_min + 1
-        return w * w
+        return len(site_indices(self))
+
+    @property
+    def n_min(self):
+        return (1 if self.symmetry == OFFSITE else 2) - self.half_width
+
+    @property
+    def n_max(self):
+        return self.half_width
 
     @property
     def width(self):
         return self.n_max - self.n_min + 1
 
-    def contains(self, n, m):
-        if self.kind == WEDGE:
-            return 1 <= m <= n <= self.half_width
-        return self.n_min <= n <= self.n_max and self.n_min <= m <= self.n_max
-
     def index(self, n, m):
-        if not self.contains(n, m):
+        sites = site_indices(self)
+        full = (n - self.n_min) * self.width + (m - self.n_min)
+        i = int(np.searchsorted(sites, full))
+        if not (self.n_min <= min(n, m) and max(n, m) <= self.n_max
+                and i < len(sites) and sites[i] == full):
             raise KeyError(f"site ({n}, {m}) not in grid")
-        if self.kind == WEDGE:
-            return n * (n - 1) // 2 + (m - 1)
-        return (n - self.n_min) * self.width + (m - self.n_min)
+        return i
 
     def sites(self):
         """Array of shape (size, 2) listing (n, m) in flat order."""
-        return _sites_cached(self)
-
-
-@lru_cache(maxsize=None)
-def _sites_cached(grid):
-    if grid.kind == WEDGE:
-        out = [(n, m) for n in range(1, grid.half_width + 1) for m in range(1, n + 1)]
-    else:
-        rng = range(grid.n_min, grid.n_max + 1)
-        out = [(n, m) for n in rng for m in rng]
-    arr = np.array(out, dtype=int)
-    arr.setflags(write=False)
-    return arr
+        return _orbit_space(self)[1]
 
 
 def wedge(n_d, symmetry):
-    return GridSpec(WEDGE, n_d, symmetry, 1, n_d)
+    return GridSpec(n_d, symmetry)
 
 
-def full_square(n_d, symmetry, window=None):
-    """Full truncated square.
-
-    For ``symmetry=None`` the index window is ambiguous, so ``window`` picks
-    the off-site window [1-N_d, N_d] (default) or the on-site one [2-N_d, N_d].
-    """
-    if symmetry == OFFSITE:
-        n_min = 1 - n_d
-    elif symmetry == ONSITE:
-        n_min = 2 - n_d
-    elif symmetry is None:
-        w = OFFSITE if window is None else window
-        n_min = 1 - n_d if w == OFFSITE else 2 - n_d
-    else:
-        raise ValueError(f"unknown symmetry class: {symmetry!r}")
-    return GridSpec(FULL, n_d, symmetry, n_min, n_d)
+def full_square(n_d, symmetry):
+    return GridSpec(n_d, symmetry, ("e",))
 
 
 @dataclass
@@ -226,87 +211,98 @@ def constant(grid, c):
     return Field(grid, np.full(grid.size, float(c)))
 
 
+@lru_cache(maxsize=None)
+def _window_permutations(n_d, symmetry):
+    """Per D4 element g, the window index of g^-1 x for each window site x
+    (window indices are row-major, so their order is lexicographic)."""
+    window = full_square(n_d, symmetry)
+    lo, w = window.n_min, window.width
+    n, m = np.divmod(np.arange(w * w), w)
+    perms = []
+    for g in _group(symmetry):
+        gn, gm = apply_element(_invert(g), n + lo, m + lo)
+        perm = (gn - lo) * w + (gm - lo)
+        perm.setflags(write=False)
+        perms.append(perm)
+    return tuple(perms)
+
+
+@lru_cache(maxsize=None)
+def _orbit_space(grid):
+    """(site window indices, site coordinates, orbit weights, unfold index,
+    unfold sign) of a grid; the unfold arrays run over the window, and a
+    window site on a dropped orbit has sign 0 and index ``size``."""
+    perms = _window_permutations(grid.half_width, grid.symmetry)
+    elems = [_ELEMENT_NAMES.index(g) for g in grid.group]
+    # g^-1 runs over Sigma as g does, and chi(g^-1) = chi(g)
+    images = np.array([perms[k] for k in elems])
+    chi = np.array([CHARACTERS[grid.rep][k] for k in elems])[:, None]
+    rep = images.max(axis=0)
+    hit = images == rep
+    sign = (hit & (chi > 0)).any(axis=0) - 1.0 * (hit & (chi < 0)).any(axis=0)
+    sites = np.flatnonzero(np.bincount(rep[sign != 0], minlength=len(rep)))
+    index = np.where(sign != 0, np.searchsorted(sites, rep), len(sites))
+    # orbit size |Sigma| / |stabilizer|
+    weights = len(elems) / np.count_nonzero(images == np.arange(len(rep)),
+                                            axis=0)
+    coords = np.stack(np.divmod(sites, grid.width), axis=1) + grid.n_min
+    out = (sites, coords, weights[sites], index, sign)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+def site_indices(grid):
+    """Full-square flat index of each site of the grid."""
+    return _orbit_space(grid)[0]
+
+
 def orbit_weights(grid):
     """Orbit sizes per flat index (all ones on full squares)."""
-    return _orbit_weights_cached(grid)
+    return _orbit_space(grid)[2]
 
 
-@lru_cache(maxsize=None)
-def _orbit_weights_cached(grid):
-    if grid.kind == FULL:
-        return np.ones(grid.size)
-    return np.array(
-        [orbit_size((n, m), grid.symmetry) for n, m in grid.sites()], dtype=float
-    )
-
-
-@lru_cache(maxsize=None)
-def unfold_index_map(grid):
-    """For a wedge grid: full-square flat index -> wedge flat index."""
-    full = full_square(grid.half_width, grid.symmetry)
-    idx = np.empty(full.size, dtype=int)
-    for i, (n, m) in enumerate(full.sites()):
-        (fn, fm), _ = fold_site((n, m), grid.symmetry)
-        idx[i] = grid.index(fn, fm)
-    idx.setflags(write=False)
-    return idx
-
-
-def unfold(field, window=None):
-    """Extend a wedge field to the D4-symmetric field on the full square."""
+def unfold(field):
+    """Extend a field to the full square of its window: each site takes
+    chi(g) times the value at its representative g x (0 on dropped orbits)."""
     grid = field.grid
-    if grid.kind != WEDGE:
-        raise ValueError("unfold expects a wedge field")
-    if grid.symmetry is None:
-        raise ValueError("unfold requires a symmetry class")
-    full = full_square(grid.half_width, grid.symmetry)
-    return Field(full, field.values[unfold_index_map(grid)])
+    _, _, _, index, sign = _orbit_space(grid)
+    return Field(full_square(grid.half_width, grid.symmetry),
+                 sign * np.append(field.values, 0.0)[index])
 
 
-def fold(field):
-    """Restrict a full-square field to the wedge of its symmetry class."""
-    grid = field.grid
-    if grid.kind != FULL or grid.symmetry is None:
-        raise ValueError("fold expects a full-square field with a symmetry class")
-    wg = wedge(grid.half_width, grid.symmetry)
-    out = np.array([field.values[grid.index(n, m)] for n, m in wg.sites()])
-    return Field(wg, out)
+def fold(field, grid):
+    """Restrict a full-square field to a grid on its window: the values at
+    the grid's sites."""
+    if field.grid != full_square(grid.half_width, grid.symmetry):
+        raise ValueError("fold expects a field on the full square of the "
+                         "grid's window")
+    return Field(grid, field.values[site_indices(grid)])
 
 
-def symmetrize(values, grid, symmetry):
-    """Group-average a full-square field over the chosen D4 action."""
-    if grid.kind != FULL:
-        raise ValueError("symmetrize expects a full-square grid")
-    perms = action_permutations(grid, symmetry)
+def action_permutations(grid):
+    """Index permutations realizing the eight group elements on the full
+    square of the grid's window: (g.v)(x) = v(g^-1 x) is ``v[perm]``."""
+    return _window_permutations(grid.half_width, grid.symmetry)
+
+
+def symmetrize(values, grid):
+    """Group-average a full-square field over the D4 action of its window."""
+    perms = action_permutations(grid)
     acc = np.zeros_like(values, dtype=float)
     for p in perms:
         acc += values[p]
     return acc / len(perms)
 
 
-@lru_cache(maxsize=None)
-def _action_permutations_cached(grid, symmetry):
-    sites = grid.sites()
-    perms = []
-    for g in _group(symmetry):
-        idx = np.empty(grid.size, dtype=int)
-        for i, (n, m) in enumerate(sites):
-            # (g.v)(x) = v(g^{-1} x); for our involutive generator set the
-            # inverse of each element is again in the list, so permute by the
-            # inverse image directly.
-            gn, gm = apply_element(_invert(g), n, m)
-            if not grid.contains(gn, gm):
-                raise ValueError(
-                    f"grid window is not invariant under the {symmetry} action"
-                )
-            idx[i] = grid.index(gn, gm)
-        perms.append(idx)
-    return tuple(perms)
-
-
-def action_permutations(grid, symmetry):
-    """Index permutations realizing the eight group elements on a full grid."""
-    return _action_permutations_cached(grid, symmetry)
+def isotropy(field):
+    """Names of the D4 elements that fix a field, unfolded to the full
+    square, to 1e-8 of its largest value."""
+    v = unfold(field).values
+    bound = 1e-8 * np.max(np.abs(v))
+    return tuple(name for name, p in zip(_ELEMENT_NAMES,
+                                         action_permutations(field.grid))
+                 if np.max(np.abs(v[p] - v)) <= bound)
 
 
 def _invert(elem):
@@ -319,85 +315,32 @@ def _invert(elem):
 def laplacian_matrix(grid):
     """Sparse matrix of the discrete Laplacian action on the grid.
 
-    Wedge rows fold out-of-domain neighbors through the symmetry maps
-    (multiplicities accumulate; this is the trivial case of
-    :func:`character_laplacian`); sites beyond the outer boundary n = N_d
-    use mirror ghosts.  Full squares use mirror ghosts on all four edges.
-    Row sums vanish on every grid.
+    Each of the four neighbors is clamped into the window (the mirror
+    ghost), then mapped to its orbit representative by some g in the
+    grid's group with weight chi(g); contributions landing on dropped sites
+    vanish and multiplicities accumulate.  Row sums vanish for the trivial
+    character.  Cached per grid; must not be modified.
     """
     return _laplacian_cached(grid)
 
 
 @lru_cache(maxsize=None)
 def _laplacian_cached(grid):
-    if grid.kind == WEDGE:
-        return _character_laplacian_cached(grid, "trivial")[0]
-    lo, hi = grid.n_min, grid.n_max
-    rows, cols, vals = [], [], []
-    for i, (n, m) in enumerate(grid.sites()):
-        rows.append(i)
-        cols.append(i)
-        vals.append(-4.0)
-        for nn, mm in ((n + 1, m), (n - 1, m), (n, m + 1), (n, m - 1)):
-            rows.append(i)
-            cols.append(grid.index(min(max(nn, lo), hi), min(max(mm, lo), hi)))
-            vals.append(1.0)
-    mat = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(grid.size, grid.size), dtype=float
-    )
+    sites, coords, _, index, sign = _orbit_space(grid)
+    lo, hi, w = grid.n_min, grid.n_max, grid.width
+    n, m = coords.T
+    nbrs = np.concatenate([
+        (np.clip(a, lo, hi) - lo) * w + (np.clip(b, lo, hi) - lo)
+        for a, b in ((n + 1, m), (n - 1, m), (n, m + 1), (n, m - 1))])
+    k = np.arange(len(sites))
+    rows = np.concatenate([k, np.tile(k, 4)])
+    cols = np.concatenate([k, index[nbrs]])
+    vals = np.concatenate([np.full(len(sites), -4.0), sign[nbrs]])
+    keep = vals != 0
+    mat = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                        shape=(len(sites), len(sites)), dtype=float)
     mat.sum_duplicates()
     return mat
-
-
-def character_laplacian(grid, rep):
-    """Folded wedge Laplacian twisted by a one-dimensional character.
-
-    Out-of-wedge neighbors fold back with weight chi(g) of the folding
-    element.  A site fixed by an element of character -1 carries no field
-    of the representation, so contributions landing there vanish.  Returns
-    ``(matrix, active_sites)``; the operator acts on fields restricted to
-    the active sites.  Both are cached per (grid, rep) and must not be
-    modified.
-    """
-    if grid.kind != WEDGE:
-        raise ValueError("character laplacian expects a wedge grid")
-    return _character_laplacian_cached(grid, rep)
-
-
-@lru_cache(maxsize=None)
-def _character_laplacian_cached(grid, rep):
-    chars = CHARACTERS[rep]
-    elems = _group(grid.symmetry)
-    sites = grid.sites()
-    act = np.array([
-        i for i, (n, m) in enumerate(sites)
-        if not any(chi == -1 and apply_element(g, n, m) == (n, m)
-                   for g, chi in zip(elems, chars))], dtype=int)
-    act.setflags(write=False)
-    pos = {int(i): k for k, i in enumerate(act)}
-    rows, cols, vals = [], [], []
-    for k, i in enumerate(act):
-        n, m = sites[i]
-        rows.append(k)
-        cols.append(k)
-        vals.append(-4.0)
-        for nn, mm in ((n + 1, m), (n - 1, m), (n, m + 1), (n, m - 1)):
-            (fn, fm), g_idx = fold_site((nn, mm), grid.symmetry)
-            # Neumann mirror ghost at the outer boundary
-            j = grid.index(min(fn, grid.half_width), fm)
-            if j in pos:
-                rows.append(k)
-                cols.append(pos[j])
-                vals.append(float(chars[g_idx]))
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(len(act), len(act)),
-                        dtype=float)
-    mat.sum_duplicates()
-    return mat, act
-
-
-def laplacian_apply(field):
-    """Apply the discrete Laplacian; total on well-formed fields."""
-    return Field(field.grid, laplacian_matrix(field.grid) @ field.values)
 
 
 def symmetric_form(matrix, weights):
@@ -418,20 +361,25 @@ def symmetric_form(matrix, weights):
 # ---------------------------------------------------------------------------
 # profile file I/O
 
+_PROFILE_KINDS = {"wedge": wedge, "full": full_square}
+
 
 def save_profile(field, path):
-    """Write a profile as JSON: {grid: {kind, N_d, symmetry}, values: [...]}."""
+    """Write a wedge or full-square profile as JSON:
+    {grid: {kind, N_d, symmetry}, values: [...]}."""
     grid = field.grid
+    kind = next((k for k, make in _PROFILE_KINDS.items()
+                 if make(grid.half_width, grid.symmetry) == grid), None)
+    if kind is None:
+        raise ValueError("only wedge and full-square profiles are saved")
     obj = {
         "grid": {
-            "kind": grid.kind,
+            "kind": kind,
             "N_d": grid.half_width,
             "symmetry": grid.symmetry,
         },
         "values": list(map(float, field.values)),
     }
-    if grid.kind == FULL and grid.symmetry is None:
-        obj["grid"]["window"] = OFFSITE if grid.n_min == 1 - grid.half_width else ONSITE
     with open(path, "w") as fh:
         json.dump(obj, fh)
 
@@ -440,10 +388,7 @@ def load_profile(path):
     with open(path) as fh:
         obj = json.load(fh)
     g = obj["grid"]
-    if g["kind"] == WEDGE:
-        grid = wedge(g["N_d"], g["symmetry"])
-    else:
-        grid = full_square(g["N_d"], g["symmetry"], window=g.get("window"))
+    grid = _PROFILE_KINDS[g["kind"]](g["N_d"], g["symmetry"])
     return Field(grid, np.array(obj["values"], dtype=float))
 
 

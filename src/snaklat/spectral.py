@@ -119,20 +119,9 @@ class SpectrumReport:
     grid: lattice.GridSpec | None = None
     tau: float = 0.0
 
-    def to_json_dict(self, symmetry=None):
-        near = []
-        for lam, vec in self.near_zero:
-            entry = {"lambda": float(lam)}
-            if symmetry is not None:
-                tag, _ = isotypic_classify(vec, symmetry)
-                entry["tag"] = tag
-            near.append(entry)
-        return {"n_unstable": self.n_unstable, "n_zero": self.n_zero,
-                "near_zero": near}
-
 
 def full_square_jacobian(u_wedge, nonlinearity, mu, d):
-    """Unfold a wedge state and assemble the symmetric full-square Jacobian."""
+    """Unfold a state and assemble the symmetric full-square Jacobian."""
     u_full = lattice.unfold(u_wedge)
     jac = solver.jacobian(u_full, nonlinearity, mu, d)
     return u_full, jac.tocsr()
@@ -278,10 +267,10 @@ def vbar_unstable_reference(N, M, symmetry):
     }
 
 
-def isotypic_projection(values, grid, symmetry, tag):
-    """Projection onto an isotypic component of one field or, row-wise, of
-    an (n, k) array of fields."""
-    perms = lattice.action_permutations(grid, symmetry)
+def isotypic_projection(values, grid, tag):
+    """Projection onto an isotypic component of one full-square field or,
+    row-wise, of an (n, k) array of them."""
+    perms = lattice.action_permutations(grid)
     chars = lattice.CHARACTERS[tag]
     acc = np.zeros_like(values, dtype=float)
     for chi, p in zip(chars, perms):
@@ -290,18 +279,17 @@ def isotypic_projection(values, grid, symmetry, tag):
     return (_DIMS[tag] / 8.0) * acc
 
 
-def isotypic_projections(v, symmetry):
-    """All five character projections of a full-square field."""
-    grid = v.grid
-    if grid.kind != lattice.FULL:
-        raise ValueError("isotypic decomposition expects a full-square field")
-    return {tag: Field(grid, isotypic_projection(v.values, grid, symmetry, tag))
+def isotypic_projections(v):
+    """All five character projections of a field, unfolded to the full
+    square."""
+    v = lattice.unfold(v)
+    return {tag: Field(v.grid, isotypic_projection(v.values, v.grid, tag))
             for tag in ISOTYPIC_TAGS}
 
 
-def isotypic_classify(v, symmetry):
+def isotypic_classify(v):
     """Dominant isotypic tag of a field plus all projection norms."""
-    projs = isotypic_projections(v, symmetry)
+    projs = isotypic_projections(v)
     norms = {tag: float(np.linalg.norm(p.values)) for tag, p in projs.items()}
     tag = max(norms, key=norms.get)
     return tag, norms

@@ -199,22 +199,26 @@ def corner_receded_state(nonlinearity, N, mu, d, n_d, symmetry=OFFSITE):
 
 
 def trace_pattern_isola(nonlinearity, N, d, n_d=16, symmetry=OFFSITE,
-                        mu_start=0.7, max_points=8000, cap_scale=0.5):
+                        mu_start=None, max_points=8000, cap_scale=0.5):
     """Trace the corner-receded family with closure detection.
 
     Returns a closed branch (isola) when one exists at this coupling; after
     the switchback collision the same seed family merges with the primary
-    branch and the trace comes back open.
+    branch and the trace comes back open.  ``mu_start`` defaults to 0.7 of
+    the way up the window.
     """
+    lo, hi = nonlinearity.window
+    if mu_start is None:
+        mu_start = lo + 0.7 * (hi - lo)
     u = corner_receded_state(nonlinearity, N, mu_start, d, n_d,
                              symmetry=symmetry)
-    hi = 2.0 * d
-    cap = cap_scale * min(np.sqrt(hi) / 3.0, hi**0.75 / 3.0)
+    band = (lo + 0.45 * (hi - lo), lo + 2.0 * (hi - lo),
+            cap_scale * _upper_fold_cap(2.0 * d))
     cfg = StepConfig(max_points=max_points, detect_closure=True, h_max=0.03,
-                     refine_bands=((0.45, 2.0, cap),))
+                     refine_bands=(band,))
     return continuation.continue_branch(
         u, nonlinearity, mu_start, d, parameter="mu", config=cfg,
-        direction=+1.0, p_bounds=(0.1, 1.2))
+        direction=+1.0, p_bounds=(lo + 0.1 * (hi - lo), lo + 1.2 * (hi - lo)))
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +227,13 @@ def trace_pattern_isola(nonlinearity, N, d, n_d=16, symmetry=OFFSITE,
 
 def critical_eigenvectors(fold, nonlinearity, k=10):
     """Near-zero eigenpairs of the full-square Jacobian at a refined fold."""
-    _, jac = spectral.full_square_jacobian(fold.u, nonlinearity, fold.mu,
-                                           fold.d)
+    u_full, jac = spectral.full_square_jacobian(fold.u, nonlinearity,
+                                                fold.mu, fold.d)
     vals, vecs = spectral.eigenpairs_near_zero(jac, k)
-    grid = lattice.full_square(fold.u.grid.half_width, fold.u.grid.symmetry)
-    return vals, [lattice.Field(grid, v) for v in vecs]
+    return vals, [lattice.Field(u_full.grid, v) for v in vecs]
 
 
-def switch_directions(fold, nonlinearity, symmetry, n_critical=8):
+def switch_directions(fold, nonlinearity, n_critical=8):
     """Symmetry-adapted directions spanning the critical eigenspace at a fold.
 
     Returns a list of (label, Field) pairs: one direction per non-trivial
@@ -245,7 +248,7 @@ def switch_directions(fold, nonlinearity, symmetry, n_critical=8):
 
     directions = []
     for tag in ("sign1", "sign2", "sign3"):
-        proj = spectral.isotypic_projection(basis, grid, symmetry, tag)
+        proj = spectral.isotypic_projection(basis, grid, tag)
         norms = np.linalg.norm(proj, axis=0)
         j = int(np.argmax(norms))
         if norms[j] > 1e-6:
@@ -254,7 +257,7 @@ def switch_directions(fold, nonlinearity, symmetry, n_critical=8):
 
     # two-dimensional component: split into the two eigenvalue planes and
     # pick mirror-fixed vectors in each
-    proj_e = spectral.isotypic_projection(basis, grid, symmetry, "two_dim")
+    proj_e = spectral.isotypic_projection(basis, grid, "two_dim")
     keep = [j for j in range(proj_e.shape[1])
             if np.linalg.norm(proj_e[:, j]) > 1e-6]
     if keep:
@@ -263,7 +266,7 @@ def switch_directions(fold, nonlinearity, symmetry, n_critical=8):
         # order the eigenvalues; two nearly-degenerate pairs
         order = np.argsort(lams)
         pairs = [order[:2], order[2:4]] if len(order) >= 4 else [order]
-        perms = lattice.action_permutations(grid, symmetry)
+        perms = lattice.action_permutations(grid)
         mirrors = {"md": perms[6], "mh": perms[5]}
         for pi, pair in enumerate(pairs):
             plane = np.column_stack([cols[:, i] for i in pair if i < cols.shape[1]])
@@ -277,41 +280,58 @@ def switch_directions(fold, nonlinearity, symmetry, n_critical=8):
                 w, v = np.linalg.eigh((a + a.T) / 2)
                 idx = int(np.argmax(w))
                 if w[idx] > 0.5:
+                    # the plane's basis follows rounding; fix the sign by
+                    # the last large entry in site order
                     vec = qp @ v[:, idx]
-                    vec /= np.linalg.norm(vec)
+                    big = np.flatnonzero(np.abs(vec) > 0.5 * np.abs(vec).max())
+                    vec *= np.sign(vec[big[-1]]) / np.linalg.norm(vec)
                     directions.append((f"two_dim_p{pi}_{mname}",
                                        lattice.Field(grid, vec)))
     return directions
 
 
-def asymmetric_fan(fold, nonlinearity, symmetry, eps=None, config=None,
+def _unfolded(pt):
+    """A branch point moved from an orbit-space grid to the full square."""
+    t = pt.tangent
+    if t is not None:
+        t = np.append(lattice.unfold(lattice.Field(pt.u.grid, t[:-1])).values,
+                      t[-1])
+    return replace(pt, u=lattice.unfold(pt.u), tangent=t)
+
+
+def asymmetric_fan(fold, nonlinearity, eps=None, config=None,
                    reconnect_drop=1e-3, min_asymmetry=1e-3):
     """All asymmetric branches bifurcating at a fold (Fig.-7-type study).
 
     Each symmetry-adapted critical direction is stepped off with the
     amplitude-pinned corrector and continued until the state regains the
-    full symmetry.  Reconnection with the primary branch is a
-    symmetry-restoring pitchfork, so it is detected as a collapse of the
-    asymmetry measure: the stop fires when the asymmetry has fallen by
-    ``reconnect_drop`` relative to its running peak (after first exceeding
-    ``min_asymmetry``).  Returns a list of (label, seed, branch,
-    reconnect_point) with reconnect_point None when no collapse was seen.
+    full symmetry.  By the equivariant branching lemma each branch keeps the
+    isotropy subgroup of its direction, so it is computed on the fixed-point
+    subspace of that subgroup, an orbit-space grid.  Reconnection with the
+    primary branch is a symmetry-restoring pitchfork, so it is detected as a
+    collapse of the asymmetry measure: the stop fires when the asymmetry has
+    fallen by ``reconnect_drop`` relative to its running peak (after first
+    exceeding ``min_asymmetry``).  Returns a list of (label, seed, branch,
+    reconnect_point), all on the full square, with reconnect_point None
+    when no collapse was seen.
     """
-    directions = switch_directions(fold, nonlinearity, symmetry)
-    fold_scale = max(abs(1.0 - fold.mu), 1e-4)
+    lo, hi = nonlinearity.window
+    directions = switch_directions(fold, nonlinearity)
+    offset = 0.25 * max(abs(hi - fold.mu), 1e-4 * (hi - lo))
     results = []
     for label, psi in directions:
+        grid = replace(fold.u.grid, group=lattice.isotropy(psi))
         try:
             seed = continuation.switch_branch(
-                fold, psi, nonlinearity, eps=eps,
-                mu_offsets=(0.0, -0.25 * fold_scale, 0.25 * fold_scale))
+                fold, lattice.fold(psi, grid), nonlinearity, eps=eps,
+                mu_offsets=(0.0, -offset, offset))
         except solver.NoConvergence:
             results.append((label, None, None, None))
             continue
         state = {"peak": 0.0, "armed": False}
 
         def stop(pt, state=state):
-            a = continuation.asymmetry(pt.u.values, pt.u.grid, symmetry)
+            a = continuation.asymmetry(pt.u)
             state["peak"] = max(state["peak"], a)
             if state["peak"] > min_asymmetry * max(1.0, pt.norm):
                 state["armed"] = True
@@ -323,11 +343,11 @@ def asymmetric_fan(fold, nonlinearity, symmetry, eps=None, config=None,
         branch = continuation.continue_branch(
             seed.u, nonlinearity, seed.mu, seed.d, parameter="mu",
             config=cfg, direction=direction,
-            p_bounds=(-0.05, 1.5))
+            p_bounds=(lo - 0.05 * (hi - lo), lo + 1.5 * (hi - lo)))
+        branch = replace(branch, points=[_unfolded(pt)
+                                         for pt in branch.points])
         last = branch.points[-1]
-        a_last = continuation.asymmetry(last.u.values, last.u.grid, symmetry)
-        reconnect = last if (state["armed"]
-                             and a_last < reconnect_drop * state["peak"]) \
-            else None
-        results.append((label, seed, branch, reconnect))
+        reconnect = last if (state["armed"] and continuation.asymmetry(last.u)
+                             < reconnect_drop * state["peak"]) else None
+        results.append((label, _unfolded(seed), branch, reconnect))
     return results

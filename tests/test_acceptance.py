@@ -270,7 +270,7 @@ def test_criterion_09_asymmetric_branches():
     cfg = ct.StepConfig(max_points=6000, h_max=0.03,
                         refine_bands=((1 - 10 * d, 2.0, (2 * d) ** 0.75 / 3),
                                       (-1.0, 0.14, 0.005)))
-    results = studies.asymmetric_fan(fold, CQ, OFFSITE, config=cfg)
+    results = studies.asymmetric_fan(fold, CQ, config=cfg)
     reconnected = [r for r in results if r[3] is not None]
     one_dim = [r for r in reconnected if not r[0].startswith("two_dim")]
     two_dim = [r for r in reconnected if r[0].startswith("two_dim")]

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from snaklat import cli, continuation, lattice, model
+from snaklat import cli, codim2, continuation, lattice, model
 from snaklat.model import PatternId, UBAR, anti_continuum_pattern
 
 
@@ -152,6 +152,21 @@ class TestOtherCommands:
         assert rc == 0
         summary = json.loads((out / "asym_summary.json").read_text())
         assert sum(b["seeded"] for b in summary["branches"]) >= 7
+
+    def test_cusp_passes_the_grid_symmetry(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def cusp_sequence(n_range, nonlinearity, **kwargs):
+            seen.update(kwargs)
+            return [], {}
+
+        monkeypatch.setattr(codim2, "cusp_sequence", cusp_sequence)
+        cfg = write_config(tmp_path, {
+            "grid": {"N_d": 8, "symmetry": "onsite"},
+            "run": {"N_range": [4]}})
+        rc = cli.main(["cusp", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 0
+        assert seen["symmetry"] == "onsite"
 
     @pytest.mark.slow
     def test_cusp_command(self, tmp_path):

@@ -24,7 +24,8 @@ class TestCharacterLaplacian:
         for rep in codim2.SIGN_REPS:
             jc, act = codim2.component_jacobian(uw.values, g, NL, mu, d, rep)
             if len(act):
-                w = codim2.component_weights(g, act)
+                w = lattice.orbit_weights(lattice.GridSpec(4, symmetry,
+                                                           rep=rep))
                 evs.extend(np.linalg.eigvalsh(
                     lattice.symmetric_form(jc, w).toarray()))
         remaining = list(ev_full)
@@ -38,22 +39,23 @@ class TestCharacterLaplacian:
     def test_active_sites_respect_mirrors(self):
         g = lattice.wedge(5, OFFSITE)
         # sign1 flips under the diagonal mirror, so diagonal sites drop out
-        _, act = lattice.character_laplacian(g, "sign1")
+        comp, act = codim2.component(g, "sign1")
         sites = g.sites()[act]
+        assert np.array_equal(sites, comp.sites())
         assert all(n != m for n, m in sites)
         # sign3 keeps the diagonal mirror: all wedge sites stay active
-        _, act3 = lattice.character_laplacian(g, "sign3")
+        _, act3 = codim2.component(g, "sign3")
         assert len(act3) == g.size
 
-    def test_expand_component_lies_in_rep(self):
+    def test_unfolded_component_lies_in_rep(self):
         from snaklat import spectral
         g = lattice.wedge(4, OFFSITE)
         rng = np.random.default_rng(32)
         for rep in codim2.SIGN_REPS:
-            _, act = lattice.character_laplacian(g, rep)
-            vec = rng.standard_normal(len(act))
-            full = codim2.expand_component(vec, act, g, rep)
-            tag, norms = spectral.isotypic_classify(full, OFFSITE)
+            comp, _ = codim2.component(g, rep)
+            vec = rng.standard_normal(comp.size)
+            full = lattice.unfold(Field(comp, vec))
+            tag, norms = spectral.isotypic_classify(full)
             assert tag == rep
             others = sum(v for k, v in norms.items() if k != rep)
             assert others < 1e-12

@@ -156,18 +156,18 @@ class TestSwitchBranch:
         psi.values /= np.linalg.norm(psi.values)
         pt = ct.switch_branch(fold, psi, NL, eps=1e-3)
         # corrected point remains D4-symmetric
-        asym = ct.asymmetry(pt.u.values, pt.u.grid, OFFSITE)
+        asym = ct.asymmetry(pt.u)
         assert asym < 1e-9
 
     def test_asymmetric_direction_leaves_symmetric_class(self):
         d = 1e-3
         fold = studies.find_right_fold(NL, 3, 1, d, n_d=7)
-        dirs = studies.switch_directions(fold, NL, OFFSITE)
+        dirs = studies.switch_directions(fold, NL)
         labels = [lab for lab, _ in dirs]
         assert set(labels) >= {"sign1", "sign2", "sign3"}
         label, psi = dirs[0]
         pt = ct.switch_branch(fold, psi, NL, eps=5e-3)
-        asym = ct.asymmetry(pt.u.values, pt.u.grid, OFFSITE)
+        asym = ct.asymmetry(pt.u)
         assert asym > 1e-4
         res = solver.residual(pt.u, NL, pt.mu, pt.d)
         assert res.norm_inf() <= 1e-10
@@ -178,9 +178,9 @@ class TestIsola:
         d = 1e-3
         u = studies.prepared_state(NL, PatternId(2, 1, UBAR, OFFSITE), 0.5,
                                    d, 8)
-        seed = ct.BranchPoint(u=u, mu=0.5, d=d, norm=ct.state_norm(u))
-        cfg = ct.StepConfig(max_points=60)
-        br = ct.trace_isola(seed, NL, config=cfg, p_bounds=(0.1, 0.9))
+        cfg = ct.StepConfig(max_points=60, detect_closure=True)
+        br = ct.continue_branch(u, NL, 0.5, d, config=cfg,
+                                p_bounds=(0.1, 0.9))
         assert not br.closed
 
 

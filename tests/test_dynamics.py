@@ -72,17 +72,6 @@ class TestIntegrate:
                              - fine.final_state().values))
         assert diff < 10 * 1e-8
 
-    def test_implicit_euler_consistent(self):
-        d = 0.05
-        u = studies.prepared_state(NL, PatternId(1, 1, UBAR, OFFSITE), 0.5,
-                                   d, 5)
-        u0 = u.copy()
-        u0.values = u0.values * 1.02
-        exp = dynamics.integrate(u0, NL, 0.5, d, t_end=5.0, reference=u)
-        imp = dynamics.integrate_implicit(u0, NL, 0.5, d, t_end=5.0,
-                                          dt=0.005, reference=u)
-        assert abs(exp.deviation[-1] - imp.deviation[-1]) < 5e-3
-
     def test_rejects_nonpositive_horizon(self):
         u = lattice.zeros(lattice.wedge(3, OFFSITE))
         with pytest.raises(ValueError):

@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snaklat import lattice
+from snaklat import lattice, model, solver
 from snaklat.lattice import (
     OFFSITE,
     ONSITE,
     Field,
     apply_element,
     fold,
-    fold_site,
     full_square,
     group_elements,
-    laplacian_apply,
     laplacian_matrix,
     orbit,
     orbit_size,
@@ -48,10 +46,15 @@ class TestGridSpec:
         assert (g.n_min, g.n_max) == (-2, 4)
 
     def test_symmetry_none_only_full(self):
+        # every grid has a center; the full square is the orbit space of
+        # the trivial group
         with pytest.raises(ValueError):
-            lattice.GridSpec(lattice.WEDGE, 4, None, 1, 4)
-        g = full_square(4, None)
-        assert g.symmetry is None
+            lattice.GridSpec(4, None)
+        with pytest.raises(ValueError):
+            lattice.GridSpec(4, OFFSITE, ("e", "r90"))  # not a subgroup
+        g = lattice.GridSpec(4, ONSITE, ("e",))
+        assert g == full_square(4, ONSITE)
+        assert np.array_equal(orbit_weights(g), np.ones(g.size))
 
     def test_index_roundtrip(self):
         for g in (wedge(6, ONSITE), full_square(3, OFFSITE), full_square(3, ONSITE)):
@@ -90,13 +93,15 @@ class TestSymmetryAction:
 
     @pytest.mark.parametrize("symmetry", [OFFSITE, ONSITE])
     def test_fold_site_lands_in_wedge_uniquely(self, symmetry):
-        for n in range(-4, 6):
-            for m in range(-4, 6):
-                (fn, fm), k = fold_site((n, m), symmetry)
-                assert 1 <= fm <= fn
-                assert (fn, fm) in brute_orbit((n, m), symmetry)
-                in_wedge = [s for s in brute_orbit((n, m), symmetry) if 1 <= s[1] <= s[0]]
-                assert set(in_wedge) == {(fn, fm)}
+        # each full-square site unfolds from one wedge site of its orbit
+        g = wedge(5, symmetry)
+        index = unfold(Field(g, np.arange(g.size))).values.astype(int)
+        for (n, m), i in zip(full_square(5, symmetry).sites(), index):
+            fn, fm = g.sites()[i]
+            assert 1 <= fm <= fn
+            assert (fn, fm) in brute_orbit((n, m), symmetry)
+            in_wedge = [s for s in brute_orbit((n, m), symmetry) if 1 <= s[1] <= s[0]]
+            assert set(in_wedge) == {(fn, fm)}
 
 
 class TestUnfold:
@@ -130,7 +135,7 @@ class TestUnfold:
         rng = np.random.default_rng(7)
         g = wedge(5, symmetry)
         u = Field(g, rng.standard_normal(g.size))
-        assert np.array_equal(fold(unfold(u)).values, u.values)
+        assert np.array_equal(fold(unfold(u), g).values, u.values)
 
     @settings(max_examples=40, deadline=None)
     @given(symmetry=st.sampled_from([OFFSITE, ONSITE]),
@@ -138,14 +143,14 @@ class TestUnfold:
     def test_fold_unfold_roundtrip_property(self, symmetry, n_d, seed):
         g = wedge(n_d, symmetry)
         u = Field(g, np.random.default_rng(seed).standard_normal(g.size))
-        assert np.array_equal(fold(unfold(u)).values, u.values)
+        assert np.array_equal(fold(unfold(u), g).values, u.values)
 
     @pytest.mark.parametrize("symmetry", [OFFSITE, ONSITE])
     def test_unfolded_field_is_invariant(self, symmetry):
         rng = np.random.default_rng(8)
         g = wedge(5, symmetry)
         full = unfold(Field(g, rng.standard_normal(g.size)))
-        for p in lattice.action_permutations(full.grid, symmetry):
+        for p in lattice.action_permutations(full.grid):
             assert np.array_equal(full.values[p], full.values)
 
 
@@ -153,11 +158,11 @@ class TestLaplacian:
     @pytest.mark.parametrize(
         "grid",
         [wedge(5, OFFSITE), wedge(5, ONSITE), full_square(4, OFFSITE),
-         full_square(4, ONSITE), full_square(4, None)],
+         full_square(4, ONSITE), lattice.GridSpec(4, OFFSITE, ("e", "md"))],
     )
     def test_annihilates_constants(self, grid):
-        out = laplacian_apply(lattice.constant(grid, 3.7))
-        assert np.allclose(out.values, 0.0, atol=1e-13)
+        out = laplacian_matrix(grid) @ lattice.constant(grid, 3.7).values
+        assert np.allclose(out, 0.0, atol=1e-13)
 
     @pytest.mark.parametrize(
         "grid",
@@ -171,7 +176,7 @@ class TestLaplacian:
         g = wedge(5, OFFSITE)
         u = lattice.zeros(g)
         u.values[g.index(3, 2)] = 1.0
-        out = laplacian_apply(u)
+        out = Field(g, laplacian_matrix(g) @ u.values)
         assert out[(3, 2)] == -4.0
         assert out[(4, 2)] == 1.0
         assert out[(3, 1)] == 1.0
@@ -208,9 +213,10 @@ class TestLaplacian:
         rng = np.random.default_rng(11)
         g = wedge(6, symmetry)
         u = Field(g, rng.standard_normal(g.size))
-        lhs = unfold(laplacian_apply(u))
-        rhs = laplacian_apply(unfold(u))
-        assert np.allclose(lhs.values, rhs.values, atol=1e-12)
+        full = unfold(u)
+        lhs = unfold(Field(g, laplacian_matrix(g) @ u.values))
+        rhs = laplacian_matrix(full.grid) @ full.values
+        assert np.allclose(lhs.values, rhs, atol=1e-12)
 
     @pytest.mark.parametrize("symmetry", [OFFSITE, ONSITE])
     def test_full_square_matrix_symmetric(self, symmetry):
@@ -235,6 +241,51 @@ class TestLaplacian:
         assert np.allclose(ev_a, ev_s, atol=1e-9)
 
 
+SUBGROUPS = (lattice.D4, ("e", "r90", "r180", "r270"),
+             ("e", "r180", "mv", "mh"), ("e", "r180", "md", "ma"),
+             ("e", "md"), ("e", "mh"), ("e",))
+ORBIT_SPACES = ([(group, "trivial") for group in SUBGROUPS]
+                + [(lattice.D4, rep) for rep in ("sign1", "sign2", "sign3")])
+
+
+class TestOrbitSpaceProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(space=st.sampled_from(ORBIT_SPACES),
+           symmetry=st.sampled_from([OFFSITE, ONSITE]),
+           n_d=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+    def test_grid_is_the_orbit_space(self, space, symmetry, n_d, seed):
+        group, rep = space
+        g = lattice.GridSpec(n_d, symmetry, group, rep)
+        full = full_square(n_d, symmetry)
+        rng = np.random.default_rng(seed)
+        v = Field(g, rng.standard_normal(g.size))
+        big = unfold(v)
+        assert np.array_equal(fold(big, g).values, v.values)
+        lap = laplacian_matrix(g)
+        assert np.allclose(unfold(Field(g, lap @ v.values)).values,
+                           laplacian_matrix(full) @ big.values,
+                           rtol=0, atol=1e-12)
+        # D L is exactly symmetric, so symmetric_form only removes rounding
+        w = orbit_weights(g)
+        dl = lap.multiply(w[:, None]).tocsr()
+        assert (dl != dl.T).nnz == 0
+        sym = symmetric_form(lap, w)
+        assert (sym != sym.T).nnz == 0
+        # the residual is equivariant (the cubic-quintic is odd)
+        u = Field(g, rng.uniform(-1.3, 1.3, g.size))
+        nl, mu, d = model.cubic_quintic(), 0.6, rng.uniform(0.01, 1.0)
+        assert np.allclose(unfold(solver.residual(u, nl, mu, d)).values,
+                           solver.residual(unfold(u), nl, mu, d).values,
+                           rtol=0, atol=1e-12)
+        # a generic field is fixed by the kernel of chi on Sigma alone, once
+        # the window has a site of trivial stabilizer (all but on-site N_d=2)
+        if (symmetry, n_d) != (ONSITE, 2):
+            chars = lattice.CHARACTERS[rep]
+            assert lattice.isotropy(v) == tuple(
+                name for name, chi in zip(lattice.element_names(), chars)
+                if name in group and chi == 1)
+
+
 class TestProfileIO:
     def test_json_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -249,7 +300,7 @@ class TestProfileIO:
 
     def test_full_square_without_symmetry_roundtrip(self, tmp_path):
         rng = np.random.default_rng(4)
-        g = full_square(3, None, window=ONSITE)
+        g = full_square(3, ONSITE)
         u = Field(g, rng.standard_normal(g.size))
         path = tmp_path / "asym.json"
         lattice.save_profile(u, path)

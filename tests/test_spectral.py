@@ -169,10 +169,9 @@ class TestUnstableCount:
         nl = model.cubic_quintic()
         v = anti_continuum_pattern(PatternId(2, 1, VBAR, OFFSITE), 0.5, nl, n_d=4)
         rep = spectral.unstable_count(v, nl, 0.5, 0.0)
-        obj = rep.to_json_dict(symmetry=OFFSITE)
-        assert obj["n_unstable"] == 8
-        assert obj["n_zero"] == 0
-        assert obj["near_zero"] == []
+        assert rep.n_unstable == 8
+        assert rep.n_zero == 0
+        assert rep.near_zero == []
 
     def test_report_json_tags_near_zero_modes(self):
         # at the decoupled window endpoint every filled cell is degenerate;
@@ -181,15 +180,15 @@ class TestUnstableCount:
         v = anti_continuum_pattern(PatternId(2, 1, VBAR, OFFSITE), 1.0, nl,
                                    n_d=4)
         rep = spectral.unstable_count(v, nl, 1.0, 0.0)
-        obj = rep.to_json_dict(symmetry=OFFSITE)
-        assert obj["n_zero"] == 12
-        tags = {e["tag"] for e in obj["near_zero"]}
+        assert rep.n_zero == 12
+        tags = {spectral.isotypic_classify(vec)[0]
+                for _, vec in rep.near_zero}
         # a degenerate eigenbasis is an arbitrary rotation of site
         # indicators, so the dominant tags need not be spread out; they must
         # still be valid component names with eigenvalues inside the window
         assert tags <= set(spectral.ISOTYPIC_TAGS)
-        for e in obj["near_zero"]:
-            assert abs(e["lambda"]) < rep.tau
+        for lam, _ in rep.near_zero:
+            assert abs(lam) < rep.tau
 
 
 class TestCrossingCount:
@@ -249,14 +248,14 @@ class TestIsotypic:
         rng = np.random.default_rng(20)
         grid = lattice.full_square(4, symmetry)
         v = Field(grid, rng.standard_normal(grid.size))
-        projs = spectral.isotypic_projections(v, symmetry)
+        projs = spectral.isotypic_projections(v)
         total = sum(p.values for p in projs.values())
         assert np.allclose(total, v.values, atol=1e-12)
         sq = sum(np.linalg.norm(p.values) ** 2 for p in projs.values())
         assert abs(sq - np.linalg.norm(v.values) ** 2) < 1e-12
         # projectors are idempotent and mutually orthogonal
         for tag, p in projs.items():
-            again = spectral.isotypic_projection(p.values, grid, symmetry, tag)
+            again = spectral.isotypic_projection(p.values, grid, tag)
             assert np.allclose(again, p.values, atol=1e-12)
         for t1 in spectral.ISOTYPIC_TAGS:
             for t2 in spectral.ISOTYPIC_TAGS:
@@ -268,7 +267,7 @@ class TestIsotypic:
         rng = np.random.default_rng(21)
         g = lattice.wedge(4, OFFSITE)
         v = lattice.unfold(Field(g, rng.standard_normal(g.size)))
-        tag, norms = spectral.isotypic_classify(v, OFFSITE)
+        tag, norms = spectral.isotypic_classify(v)
         assert tag == "trivial"
         others = sum(norms[t] for t in spectral.ISOTYPIC_TAGS if t != "trivial")
         assert others < 1e-12 * max(1.0, norms["trivial"])
@@ -283,7 +282,7 @@ class TestIsotypic:
                            lattice.group_elements(OFFSITE)):
             site = lattice.apply_element(g, 3, 1)
             vals[grid.index(*site)] = chars[name]
-        tag, norms = spectral.isotypic_classify(Field(grid, vals), OFFSITE)
+        tag, norms = spectral.isotypic_classify(Field(grid, vals))
         assert tag == "sign1"
         assert norms["trivial"] < 1e-12
         assert norms["two_dim"] < 1e-12

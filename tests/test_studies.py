@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,23 @@ class TestFoldScale:
         _, _, scale = studies.fold_scale(nl, asymptotics.PITCHFORK_INTERIOR,
                                          1e-3, upper=False)
         assert scale == pytest.approx(0.03, rel=1e-9)
+
+    def test_fan_seeds_map_to_a_rescaled_window(self):
+        # -4 nu u + 2 u^3 - u^5 on (0, 1/4) is the cubic-quintic at mu = 4 nu
+        c = np.zeros((2, 6))
+        c[1, 1], c[0, 3], c[0, 5] = -4.0, 2.0, -1.0
+        scaled = model.polynomial(c, window=(0.0, 0.25))
+        fold = studies.find_right_fold(NL, 3, 1, 1e-3, n_d=6)
+        cfg = ct.StepConfig(max_points=3)
+        ref = studies.asymmetric_fan(fold, NL, config=cfg)
+        got = studies.asymmetric_fan(replace(fold, mu=fold.mu / 4), scaled,
+                                     config=cfg)
+        assert [r[0] for r in got] == [r[0] for r in ref]
+        seeds = [(a[1], b[1]) for a, b in zip(ref, got)]
+        assert len(seeds) == 7 and all(a and b for a, b in seeds)
+        for a, b in seeds:
+            assert abs(b.mu - a.mu / 4) < 1e-8
+            assert np.max(np.abs(b.u.values - a.u.values)) < 1e-8
 
 
 class TestExpectedFoldSequence:
@@ -89,13 +108,13 @@ class TestCouplingContinuation:
 class TestSwitchDirections:
     def test_seven_directions_at_eight_crossing_fold(self):
         fold = studies.find_right_fold(NL, 3, 1, 1e-3, n_d=7)
-        dirs = studies.switch_directions(fold, NL, OFFSITE)
+        dirs = studies.switch_directions(fold, NL)
         labels = {lab for lab, _ in dirs}
         assert len(dirs) == 7
         assert {"sign1", "sign2", "sign3"} <= labels
         assert sum(lab.startswith("two_dim") for lab in labels) == 4
         for lab, psi in dirs:
-            tag, norms = spectral.isotypic_classify(psi, OFFSITE)
+            tag, norms = spectral.isotypic_classify(psi)
             expect = lab.split("_p")[0] if lab.startswith("two_dim") else lab
             assert tag == expect
             assert abs(np.linalg.norm(psi.values) - 1) < 1e-9
@@ -110,9 +129,20 @@ class TestAsymmetricFan:
                             refine_bands=((1 - 10 * d, 2.0,
                                            (2 * d) ** 0.75 / 3.0),
                                           (-1.0, 0.14, 0.005)))
-        results = studies.asymmetric_fan(fold, NL, OFFSITE, config=cfg)
+        results = studies.asymmetric_fan(fold, NL, config=cfg)
         seeded = [r for r in results if r[1] is not None]
         assert len(seeded) >= 7
+        # each branch keeps the isotropy subgroup of its direction exactly
+        directions = dict(studies.switch_directions(fold, NL))
+        names = lattice.element_names()
+        for label, seed, branch, rec in seeded:
+            group = lattice.isotropy(directions[label])
+            assert len(group) == (2 if label.startswith("two_dim") else 4)
+            perms = [lattice.action_permutations(seed.u.grid)[names.index(g)]
+                     for g in group]
+            for pt in [seed, *branch.points] + ([rec] if rec else []):
+                for p in perms:
+                    assert np.array_equal(pt.u.values[p], pt.u.values)
         reconnected = [r for r in results if r[3] is not None]
         assert len(reconnected) >= 7
         # distinct branches: mid-branch states pairwise far apart
