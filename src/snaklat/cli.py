@@ -103,7 +103,7 @@ def _pattern(run, symmetry, n_d):
     return pattern
 
 
-def _write_manifest(out_dir, cfg, seed, t0, outputs):
+def _write_manifest(out_dir, cfg, seed, t0, outputs, bordered_solves):
     manifest = {
         "config": cfg,
         "seed": seed,
@@ -114,6 +114,7 @@ def _write_manifest(out_dir, cfg, seed, t0, outputs):
         },
         "wall_time_s": time.time() - t0,
         "outputs": outputs,
+        "stats": {"bordered_solves": bordered_solves},
     }
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w") as fh:
@@ -342,14 +343,15 @@ def main(argv=None):
     out_dir = args.out or cfg.get("output", {}).get("directory", ".")
     os.makedirs(out_dir, exist_ok=True)
     try:
-        outputs = _COMMANDS[args.command](cfg, out_dir, seed)
+        with solver.counting_bordered_solves() as bordered_solves:
+            outputs = _COMMANDS[args.command](cfg, out_dir, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except solver.SolverError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    _write_manifest(out_dir, cfg, seed, t0, outputs)
+    _write_manifest(out_dir, cfg, seed, t0, outputs, bordered_solves)
     return 0
 
 

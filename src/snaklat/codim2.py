@@ -135,7 +135,7 @@ def find_cusp(u0, mu0, d0, nonlinearity, rep, phi1=None, phi2=None,
             nonlinearity.f_uu(u_, mu_)[act] * p2, d_ * lap2.data,
             nonlinearity.f_u(u_[act], mu_),
             nonlinearity.f_umu(u_[act], mu_) * p2, lap2 @ p2, 2 * p1, 2 * p2)
-        return solver.lu_solve(matrix, -F, factoring=solver.FOLD_LU)
+        return solver.lu_solve(matrix, -F)
 
     def left_trust_region(z):
         # d -> 0 is the decoupled line, where every single-cell root

@@ -313,8 +313,7 @@ def fold_newton(vals, phi, p, fixed, c, grid, nonlinearity, parameter="mu",
         mu, d = _pair(parameter, x[-1], fixed)
         return solver.lu_solve(
             solver.fold_system(x[:n], x[n:2 * n], c, grid, nonlinearity, mu,
-                               d, parameter),
-            -F, factoring=solver.FOLD_LU)
+                               d, parameter), -F)
 
     def done(x, F):
         return (not p_range[0] <= x[-1] <= p_range[1]

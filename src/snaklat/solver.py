@@ -2,21 +2,28 @@
 
 The Jacobian d*L + diag(f_u) inherits the Laplacian's closure: on full
 squares it is symmetric; on the wedge it is self-adjoint only in the
-orbit-weighted inner product.  Every matrix a Newton step factors (the
-Jacobian, bordered by one column and one row placed last, and the fold
-system) has a fixed :class:`BlockPattern`, built once per grid; a step
-writes only its data.  :func:`lu_solve` factors in a fixed column ordering
-with threshold pivoting, checks the backward error and falls back on
-splu's defaults, the oracle.
+orbit-weighted inner product.  In natural site order it is banded, with
+bandwidths at most twice the grid's half-width.  :func:`bordered_solve`,
+the linear solve of every Newton step on F = 0, factors it with LAPACK's
+banded LU, eliminates the one border row and column by block elimination,
+refines once and checks the backward error matrix-free; splu's defaults
+are the oracle it falls back on.  The fold and cusp systems have a fixed
+:class:`BlockPattern`, built once per grid (a step writes only its data),
+and :func:`lu_solve` factors them in a fixed column ordering with
+threshold pivoting, checked the same way against the same oracle.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from . import lattice
 from .lattice import Field
@@ -44,11 +51,8 @@ class SingularBorderedSystem(SolverError):
     pass
 
 
-# (column ordering, pivot threshold) of the checked fast factorization.
-# Bordered Jacobians keep the site order and its band; at threshold 0.1 a
-# corrector's tangent row displaces the critical cell's small pivot on a
-# fifth of the snake's solves and fills L + U from 5.8k to 25k entries.
-BORDERED_LU = ("NATURAL", 1e-3)
+# (column ordering, pivot threshold) of the checked fast sparse LU of the
+# fold and cusp systems.
 FOLD_LU = ("MMD_AT_PLUS_A", 0.1)
 BACKWARD_ERROR_MAX = 1e-12
 
@@ -174,27 +178,32 @@ def fold_system(values, phi, c, grid, nonlinearity, mu, d, parameter="mu"):
         *fold_values(values, phi, grid, nonlinearity, mu, d, (parameter,)), c)
 
 
-def lu_solve(matrix, rhs, err=SingularJacobian, factoring=BORDERED_LU):
+def lu_solve(matrix, rhs, err=SingularJacobian):
     """Solve with a sparse LU factorization checked by its backward error.
 
-    ``factoring`` gives the column ordering and pivot threshold.  Unless
-    the solution is finite with backward error |Mx - r| / (|M| |x| + |r|)
-    (sup-norms) at most ``BACKWARD_ERROR_MAX``, splu's defaults solve again
-    and ``err`` is raised on a singular matrix or a non-finite solution.
+    The matrix is factored in the ``FOLD_LU`` column ordering and pivot
+    threshold.  Unless the solution is finite with backward error
+    |Mx - r| / (|M| |x| + |r|) (sup-norms) at most ``BACKWARD_ERROR_MAX``,
+    splu's defaults solve again (:func:`_oracle_solve`) and ``err`` is
+    raised on a singular matrix or a non-finite solution.
     """
     matrix = matrix.tocsc()
-    ordering, threshold = factoring
+    ordering, threshold = FOLD_LU
     try:
         x = spla.splu(matrix, permc_spec=ordering,
                       diag_pivot_thresh=threshold).solve(rhs)
     except RuntimeError:
         x = None
-    if x is not None and np.all(np.isfinite(x)):
-        norm = np.bincount(matrix.indices, np.abs(matrix.data),
-                           matrix.shape[0]).max()
-        if (np.max(np.abs(matrix @ x - rhs)) <= BACKWARD_ERROR_MAX
-                * (norm * np.max(np.abs(x)) + np.max(np.abs(rhs)))):
-            return x
+    if x is not None and _backward_error_ok(
+            matrix @ x - rhs, np.bincount(matrix.indices, np.abs(matrix.data),
+                                          matrix.shape[0]), x, rhs):
+        return x
+    return _oracle_solve(matrix, rhs, err)
+
+
+def _oracle_solve(matrix, rhs, err):
+    """Solve with splu's defaults; raises ``err`` on a singular matrix or a
+    non-finite solution."""
     try:
         lu = spla.splu(matrix)
     except RuntimeError as exc:
@@ -205,13 +214,126 @@ def lu_solve(matrix, rhs, err=SingularJacobian, factoring=BORDERED_LU):
     return x
 
 
+def _backward_error_ok(residual, row_abs, x, rhs):
+    """Whether x is finite with |residual| <= BACKWARD_ERROR_MAX (|M| |x| +
+    |rhs|) in sup-norms, |M| the largest of the row-abs sums ``row_abs``."""
+    return bool(np.all(np.isfinite(x)) and np.max(np.abs(residual))
+                <= BACKWARD_ERROR_MAX * (np.max(row_abs) * np.max(np.abs(x))
+                                         + np.max(np.abs(rhs))))
+
+
+class _Band(NamedTuple):
+    """Where d*L + diag lands in LAPACK band storage, kept transposed: an
+    (n, 2 kl + ku + 1) C-ordered array whose transpose is what dgbtrf reads,
+    so entry (i, j) of the matrix sits at flat index j*width + kl+ku + i-j."""
+    kl: int
+    ku: int
+    width: int
+    data: np.ndarray        # flat index of each entry of the Laplacian's data
+    diag: np.ndarray        # flat index of each diagonal entry
+    lap_diag: np.ndarray    # diagonal of L
+    off_abs: np.ndarray     # row sums of |L| off the diagonal
+
+
+@lru_cache(maxsize=None)
+def _band(grid):
+    lap = lattice.laplacian_matrix(grid)
+    rows, cols = (x.astype(np.intp) for x in operator_block(lap, 0, 0))
+    kl, ku = (int(np.max(x, initial=0)) for x in (rows - cols, cols - rows))
+    width = 2 * kl + ku + 1
+    sites = np.arange(grid.size)
+    off = rows != cols
+    return _Band(kl, ku, width, cols * width + kl + ku + rows - cols,
+                 sites * width + kl + ku, lap.diagonal(),
+                 np.bincount(rows[off], np.abs(lap.data[off]), grid.size))
+
+
+# non-finite values fail the check and take the oracle, so need no warning
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _banded_solve(grid, d, diag, rhs, b, c, delta):
+    """Block elimination on the banded LU of J = d*L + diag(diag) with one
+    step of iterative refinement; None unless dgbtrf finds no zero pivot and
+    the answer passes the backward-error check of :func:`lu_solve`."""
+    lap, band, n = lattice.laplacian_matrix(grid), _band(grid), grid.size
+    if n == 0:  # an empty grid leaves only the corner, which dgbtrf refuses
+        return None
+    ab = np.zeros((n, band.width))
+    flat = ab.reshape(-1)
+    flat[band.data] = d * lap.data
+    flat[band.diag] += diag
+    lu, piv, info = lapack.dgbtrf(ab.T, band.kl, band.ku, overwrite_ab=1)
+    if info != 0:
+        return None
+
+    def jac_apply(x):
+        return d * (lap @ x) + diag * x
+
+    def jac_solve(r):
+        return lapack.dgbtrs(lu, band.kl, band.ku, r, piv)[0]
+
+    row_abs = abs(d) * band.off_abs + np.abs(d * band.lap_diag + diag)
+    if b is None:
+        apply, solve = jac_apply, jac_solve
+        x = jac_solve(rhs)
+    else:
+        # J [v, w] = [r, b] in one call; w serves the refinement too
+        v, w = jac_solve(np.array([rhs[:n], b]).T).T
+        schur = delta - c @ w
+
+        def eliminate(r, v):
+            p = (r[n] - c @ v) / schur
+            return np.append(v - p * w, p)
+
+        def apply(x):
+            return np.append(jac_apply(x[:n]) + b * x[n],
+                             c @ x[:n] + delta * x[n])
+
+        def solve(r):
+            return eliminate(r, jac_solve(r[:n]))
+
+        x = eliminate(rhs, v)
+        row_abs = np.append(row_abs + np.abs(b),
+                            np.sum(np.abs(c)) + abs(delta))
+    x = x + solve(rhs - apply(x))
+    return x if _backward_error_ok(apply(x) - rhs, row_abs, x, rhs) else None
+
+
+_solve_counts = contextvars.ContextVar("bordered_solve_counts", default=None)
+
+
+@contextlib.contextmanager
+def counting_bordered_solves():
+    """Count the :func:`bordered_solve` calls inside the block by path: a
+    dict {"banded": k, "fallback": m}, filled in as they happen."""
+    counts = {"banded": 0, "fallback": 0}
+    token = _solve_counts.set(counts)
+    try:
+        yield counts
+    finally:
+        _solve_counts.reset(token)
+
+
 def bordered_solve(grid, d, diag, rhs, b=None, c=None, delta=None):
-    """Solve ``bordered_matrix(grid, d, diag, b, c, delta) x = rhs`` as a
-    whole, which stays robust when the Jacobian is (nearly) singular;
-    raises :class:`SingularBorderedSystem` (:class:`SingularJacobian`
-    without a border) on a singular matrix."""
-    return lu_solve(bordered_matrix(grid, d, diag, b, c, delta), rhs,
-                    SingularJacobian if b is None else SingularBorderedSystem)
+    """Solve ``bordered_matrix(grid, d, diag, b, c, delta) x = rhs``.
+
+    Block elimination on the banded LU of the Jacobian, refined once and
+    checked by the backward error of the whole bordered system; when the
+    Jacobian is exactly singular or the check fails (near a fold block
+    elimination can lose accuracy), the assembled matrix is solved by
+    splu's defaults (:func:`_oracle_solve`), which raise
+    :class:`SingularBorderedSystem` (:class:`SingularJacobian` without a
+    border) on a singular matrix.  Counted by
+    :func:`counting_bordered_solves`.
+    """
+    x = _banded_solve(grid, d, diag, rhs, b, c, delta)
+    counts = _solve_counts.get()
+    if counts is not None:
+        counts["banded" if x is not None else "fallback"] += 1
+    if x is not None:
+        return x
+    return _oracle_solve(bordered_matrix(grid, d, diag, b, c, delta), rhs,
+                        SingularJacobian if b is None
+                        else SingularBorderedSystem)
 
 
 def newton(residual, step, x0, done, max_iter, halvings=0):

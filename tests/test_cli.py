@@ -86,6 +86,10 @@ class TestSnake:
         assert any("fold" in e for e in events)
         folds = json.loads((out / "folds.json").read_text())
         assert len(folds) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        solves = manifest["stats"]["bordered_solves"]
+        assert set(solves) == {"banded", "fallback"}
+        assert solves["banded"] > 0 and solves["fallback"] == 0
 
     def test_missed_event_is_a_numerical_failure(self, tmp_path, capsys,
                                                  monkeypatch):

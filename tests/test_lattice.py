@@ -285,6 +285,18 @@ class TestOrbitSpaceProperties:
                 name for name, chi in zip(lattice.element_names(), chars)
                 if name in group and chi == 1)
 
+    @pytest.mark.parametrize("symmetry", [OFFSITE, ONSITE])
+    @pytest.mark.parametrize("space", ORBIT_SPACES)
+    def test_laplacian_band_fits_twice_the_half_width(self, space, symmetry):
+        # the banded LU of every Newton step costs O(n N_d^2) only because
+        # the natural site order keeps the stencil within this band
+        for n_d in range(1, 26):
+            g = lattice.GridSpec(n_d, symmetry, *space)
+            lap = laplacian_matrix(g).tocoo()
+            offset = lap.col.astype(int) - lap.row
+            assert np.max(offset, initial=0) <= 2 * n_d
+            assert np.max(-offset, initial=0) <= 2 * n_d
+
 
 class TestProfileIO:
     def test_json_roundtrip(self, tmp_path):

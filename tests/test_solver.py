@@ -4,10 +4,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from snaklat import lattice, model, solver
 from snaklat.lattice import OFFSITE, ONSITE, Field
 from snaklat.model import PatternId, UBAR, VBAR, anti_continuum_pattern
+from test_lattice import ORBIT_SPACES
 
 
 def fixed_point_oracle(u0, nl, mu, d, tol=1e-12, max_iter=50000):
@@ -249,6 +251,16 @@ class TestBorderedSolve:
             solver.bordered_solve(g, 0.0, np.zeros(3), np.append(np.ones(3), 0.0),
                                   np.zeros(3), np.zeros(3), 0.0)
 
+    def test_singular_border_of_regular_jacobian_reported(self):
+        # J = I is factored, but the Schur complement 1 - e0.e0 vanishes
+        g = lattice.wedge(3, OFFSITE)
+        e0 = np.eye(g.size)[0]
+        with solver.counting_bordered_solves() as counts:
+            with pytest.raises(solver.SingularBorderedSystem):
+                solver.bordered_solve(g, 0.0, np.ones(g.size),
+                                      np.ones(g.size + 1), e0, e0, 1.0)
+        assert counts == {"banded": 0, "fallback": 1}
+
 
 def random_grid(kind, symmetry, n_d):
     if kind == "wedge":
@@ -258,15 +270,15 @@ def random_grid(kind, symmetry, n_d):
 
 class TestAssemblerProperties:
     @settings(max_examples=40, deadline=None)
-    @given(kind=st.sampled_from(["wedge", "full"]),
+    @given(space=st.sampled_from(ORBIT_SPACES),
            symmetry=st.sampled_from([OFFSITE, ONSITE]),
            n_d=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
            mu=st.floats(0.05, 0.95), d=st.floats(0.0, 0.5),
            bordered=st.booleans())
-    def test_matches_bmat_and_dense_solve(self, kind, symmetry, n_d, seed,
+    def test_matches_bmat_and_dense_solve(self, space, symmetry, n_d, seed,
                                           mu, d, bordered):
         nl = model.cubic_quintic()
-        g = random_grid(kind, symmetry, n_d)
+        g = lattice.GridSpec(n_d, symmetry, *space)
         n = g.size
         rng = np.random.default_rng(seed)
         u = rng.uniform(-0.2, 1.3, n)
@@ -283,7 +295,7 @@ class TestAssemblerProperties:
         assert np.array_equal(
             solver.bordered_matrix(g, d, nl.f_u(u, mu), *border).toarray(),
             dense)
-        assume(np.linalg.cond(dense) < 1e5)
+        assume(dense.size and np.linalg.cond(dense) < 1e5)
         rhs = rng.standard_normal(dense.shape[0])
         x = solver.bordered_solve(g, d, nl.f_u(u, mu), rhs, *border)
         ref = np.linalg.solve(dense, rhs)
@@ -313,33 +325,68 @@ class TestAssemblerProperties:
             solver.fold_system(u, phi, c, g, nl, mu, d, parameter).toarray(),
             expect.toarray())
 
-    def test_failed_check_returns_oracle(self, monkeypatch):
+    @settings(max_examples=40, deadline=None)
+    @given(space=st.sampled_from(ORBIT_SPACES),
+           symmetry=st.sampled_from([OFFSITE, ONSITE]),
+           n_d=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+           d=st.floats(0.0, 0.5), k=st.integers(0, 10**6),
+           gap=st.floats(-1e-10, 1e-10))
+    def test_near_fold_meets_backward_error_bound(self, space, symmetry, n_d,
+                                                  seed, d, k, gap):
+        # shift J so that one eigenvalue sits within 1e-10 of 0 and border
+        # it with that eigenvector, as the corrector does at a fold
+        nl = model.cubic_quintic()
+        g = lattice.GridSpec(n_d, symmetry, *space)
+        n = g.size
+        assume(n > 0)
+        rng = np.random.default_rng(seed)
+        diag = nl.f_u(rng.uniform(-0.2, 1.3, n), 0.5)
+        jac = solver.bordered_matrix(g, d, diag).toarray()
+        evals, evecs = np.linalg.eig(jac)
+        k %= n
+        phi = evecs[:, k].real / np.linalg.norm(evecs[:, k].real)
+        diag = diag - evals[k].real + gap
+        border = (phi, phi, 0.0)
+        rhs = rng.standard_normal(n + 1)
+        x = solver.bordered_solve(g, d, diag, rhs, *border)
+        dense = solver.bordered_matrix(g, d, diag, *border).toarray()
+        norm = np.max(np.sum(np.abs(dense), axis=1))
+        assert np.all(np.isfinite(x))
+        assert (np.max(np.abs(dense @ x - rhs)) <= solver.BACKWARD_ERROR_MAX
+                * (norm * np.max(np.abs(x)) + np.max(np.abs(rhs))))
+
+    @staticmethod
+    def perturbed_solve(monkeypatch, scale):
+        """A wedge bordered system solved with every banded triangular
+        solve scaled by ``scale``; returns (x, its matrix, rhs, counts)."""
         nl = model.cubic_quintic()
         g = lattice.wedge(6, OFFSITE)
         rng = np.random.default_rng(11)
-        u = rng.uniform(0.0, 1.2, g.size)
+        diag = nl.f_u(rng.uniform(0.0, 1.2, g.size), 0.5)
         border = (rng.standard_normal(g.size), rng.standard_normal(g.size),
                   0.5)
         rhs = rng.standard_normal(g.size + 1)
-        matrix = solver.bordered_matrix(g, 0.05, nl.f_u(u, 0.5), *border)
-        oracle = spla.splu(matrix).solve(rhs)
-        real, calls = spla.splu, []
+        real = lapack.dgbtrs
 
-        class Perturbed:
-            def __init__(self, lu):
-                self.lu = lu
+        def dgbtrs(*args, **kwargs):
+            x, info = real(*args, **kwargs)
+            return x * scale, info
 
-            def solve(self, r):
-                return self.lu.solve(r) * (1.0 + 1e-8)
+        monkeypatch.setattr(lapack, "dgbtrs", dgbtrs)
+        with solver.counting_bordered_solves() as counts:
+            x = solver.bordered_solve(g, 0.05, diag, rhs, *border)
+        return x, solver.bordered_matrix(g, 0.05, diag, *border), rhs, counts
 
-        def splu(matrix, **options):
-            calls.append(options)
-            lu = real(matrix, **options)
-            return Perturbed(lu) if options else lu
+    def test_failed_check_returns_oracle(self, monkeypatch):
+        # a 1e-4 error survives one refinement step as ~1e-8 and fails the
+        # check, so the answer is splu's with its default options, bitwise
+        x, matrix, rhs, counts = self.perturbed_solve(monkeypatch, 1 + 1e-4)
+        assert counts == {"banded": 0, "fallback": 1}
+        assert np.array_equal(x, spla.splu(matrix).solve(rhs))
 
-        monkeypatch.setattr(spla, "splu", splu)
-        x = solver.bordered_solve(g, 0.05, nl.f_u(u, 0.5), rhs, *border)
-        ordering, threshold = solver.BORDERED_LU
-        assert calls == [{"permc_spec": ordering,
-                          "diag_pivot_thresh": threshold}, {}]
-        assert np.array_equal(x, oracle)
+    def test_refinement_repairs_a_small_error(self, monkeypatch):
+        # one refinement step squares a 1e-8 relative error of the
+        # triangular solves, which then passes the check on the banded path
+        x, matrix, rhs, counts = self.perturbed_solve(monkeypatch, 1 + 1e-8)
+        assert counts == {"banded": 1, "fallback": 0}
+        assert np.max(np.abs(matrix @ x - rhs)) <= 1e-14
