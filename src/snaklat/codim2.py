@@ -111,9 +111,13 @@ def find_cusp(u0, mu0, d0, nonlinearity, rep, phi1=None, phi2=None,
     lap = lattice.laplacian_matrix(grid)
     sites, comp = np.arange(n), 2 * n + np.arange(n2)
     cm = 2 * n + n2
-    # rows of F and J phi1 are the fold rows in both parameters; phi2
-    # enters neither
-    pattern = solver.BlockPattern(cm + 2, solver.fold_blocks(grid, cm, 2) + [
+    # rows F, J phi1, J2 phi2 and the two norms; phi2 enters neither of
+    # the first two, whose blocks are [[J, 0, F_mu, F_d],
+    # [diag(f_uu phi1), J, (J phi1)_mu, (J phi1)_d]]
+    pattern = solver.BlockPattern(cm + 2, [
+        solver.operator_block(lap, 0, 0), (sites, sites), (n + sites, sites),
+        solver.operator_block(lap, n, n), (n + sites, n + sites),
+        (sites, cm), (n + sites, cm), (sites, cm + 1), (n + sites, cm + 1),
         (comp, act), solver.operator_block(lap2, 2 * n, 2 * n),
         (comp, comp), (comp, cm), (comp, cm + 1),
         (cm, n + sites), (cm + 1, comp)])
@@ -129,13 +133,15 @@ def find_cusp(u0, mu0, d0, nonlinearity, rep, phi1=None, phi2=None,
 
     def step(z, F):
         u_, p1, p2, mu_, d_ = unpack(z)
+        dl, fu = d_ * lap.data, nonlinearity.f_u(u_, mu_)
         matrix = pattern.matrix(
-            *solver.fold_values(u_, p1, grid, nonlinearity, mu_, d_,
-                                ("mu", "d")),
+            dl, fu, nonlinearity.f_uu(u_, mu_) * p1, dl, fu,
+            nonlinearity.f_mu(u_, mu_), nonlinearity.f_umu(u_, mu_) * p1,
+            lap @ u_, lap @ p1,
             nonlinearity.f_uu(u_, mu_)[act] * p2, d_ * lap2.data,
             nonlinearity.f_u(u_[act], mu_),
             nonlinearity.f_umu(u_[act], mu_) * p2, lap2 @ p2, 2 * p1, 2 * p2)
-        return solver.lu_solve(matrix, -F)
+        return solver.sparse_solve(matrix, -F)
 
     def left_trust_region(z):
         # d -> 0 is the decoupled line, where every single-cell root
@@ -282,10 +288,10 @@ def cusp_sequence(n_range, nonlinearity, n_d=25, symmetry=lattice.OFFSITE,
     """Locate the isola-branch collision cusp for each pattern width N.
 
     Each collision sits where the rightmost-fold curve of u-bar(N,1) is
-    crossed by that of the next-wider pattern; the crossing is located by a
-    secant iteration and then polished with the extended Newton system
-    (which bottoms out at the small avoided-crossing floor recorded per
-    point).  Returns ``(points, fit)`` where points is a list of per-N
+    crossed by that of the next-wider pattern; the crossing is bisected on
+    the sign of the fold gap (:func:`fold_curve_crossing`) and then
+    polished with the extended Newton system (which bottoms out at the
+    small avoided-crossing floor recorded per point).  Returns ``(points, fit)`` where points is a list of per-N
     dicts and fit carries the geometric extrapolation (mu_inf, d_inf, rho).
     Per-N failures are recorded and skipped.
     """

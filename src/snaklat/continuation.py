@@ -295,8 +295,9 @@ def fold_newton(vals, phi, p, fixed, c, grid, nonlinearity, parameter="mu",
 
     Unknowns are (u, phi, p) at the other parameter ``fixed``; the iteration
     stops when |F| <= tol_res and |J phi| <= tol_null |phi|, or as soon as p
-    leaves ``p_range`` (the caller checks which).  Returns (u, phi, p) or
-    raises :class:`NoConvergence` carrying the last iterate.
+    leaves ``p_range`` (the caller checks which).  Each step is
+    :func:`solver.fold_step`, four checked banded bordered solves.  Returns
+    (u, phi, p) or raises :class:`NoConvergence` carrying the last iterate.
     """
     n = grid.size
     lap = lattice.laplacian_matrix(grid)
@@ -311,9 +312,8 @@ def fold_newton(vals, phi, p, fixed, c, grid, nonlinearity, parameter="mu",
 
     def step(x, F):
         mu, d = _pair(parameter, x[-1], fixed)
-        return solver.lu_solve(
-            solver.fold_system(x[:n], x[n:2 * n], c, grid, nonlinearity, mu,
-                               d, parameter), -F)
+        return solver.fold_step(x[:n], x[n:2 * n], c, grid, nonlinearity,
+                                mu, d, parameter, -F)
 
     def done(x, F):
         return (not p_range[0] <= x[-1] <= p_range[1]

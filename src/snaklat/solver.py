@@ -3,14 +3,12 @@
 The Jacobian d*L + diag(f_u) inherits the Laplacian's closure: on full
 squares it is symmetric; on the wedge it is self-adjoint only in the
 orbit-weighted inner product.  In natural site order it is banded, with
-bandwidths at most twice the grid's half-width.  :func:`bordered_solve`,
-the linear solve of every Newton step on F = 0, factors it with LAPACK's
-banded LU, eliminates the one border row and column by block elimination,
-refines once and checks the backward error matrix-free; splu's defaults
-are the oracle it falls back on.  The fold and cusp systems have a fixed
-:class:`BlockPattern`, built once per grid (a step writes only its data),
-and :func:`lu_solve` factors them in a fixed column ordering with
-threshold pivoting, checked the same way against the same oracle.
+bandwidths at most twice the grid's half-width.  :func:`bordered_solve`
+factors it with LAPACK's banded LU, eliminates the one border row and
+column by block elimination, refines once and checks the backward error
+matrix-free; :func:`sparse_solve` (splu's defaults) is the oracle it falls
+back on.  It is the linear solve of every Newton step on F = 0 and, four
+times over in :func:`fold_step`, of every step on the fold system.
 """
 
 from __future__ import annotations
@@ -51,9 +49,6 @@ class SingularBorderedSystem(SolverError):
     pass
 
 
-# (column ordering, pivot threshold) of the checked fast sparse LU of the
-# fold and cusp systems.
-FOLD_LU = ("MMD_AT_PLUS_A", 0.1)
 BACKWARD_ERROR_MAX = 1e-12
 
 
@@ -138,72 +133,9 @@ def parameter_column(values, grid, nonlinearity, mu, d, parameter):
     return lattice.laplacian_matrix(grid) @ values
 
 
-def fold_blocks(grid, col, n_params):
-    """Blocks of the fold rows [[J, 0, F_p], [diag(f_uu phi), J, (J phi)_p]]
-    in the unknowns (u, phi, ...), the parameters from column ``col`` on;
-    :func:`fold_values` fills them in the same order."""
-    n = grid.size
-    lap = lattice.laplacian_matrix(grid)
-    sites = np.arange(n)
-    blocks = [operator_block(lap, 0, 0), (sites, sites),
-              (n + sites, sites), operator_block(lap, n, n),
-              (n + sites, n + sites)]
-    for k in range(n_params):
-        blocks += [(sites, col + k), (n + sites, col + k)]
-    return blocks
-
-
-def fold_values(values, phi, grid, nonlinearity, mu, d, parameters=("mu",)):
-    """Values of the :func:`fold_blocks` blocks at (values, phi, mu, d)."""
-    lap = lattice.laplacian_matrix(grid)
-    dl, fu = d * lap.data, nonlinearity.f_u(values, mu)
-    out = [dl, fu, nonlinearity.f_uu(values, mu) * phi, dl, fu]
-    for p in parameters:
-        out += [parameter_column(values, grid, nonlinearity, mu, d, p),
-                nonlinearity.f_umu(values, mu) * phi if p == "mu"
-                else lap @ phi]
-    return out
-
-
-@lru_cache(maxsize=None)
-def _fold_pattern(grid):
-    n = grid.size
-    return BlockPattern(2 * n + 1, fold_blocks(grid, 2 * n, 1)
-                        + [(2 * n, n + np.arange(n))])
-
-
-def fold_system(values, phi, c, grid, nonlinearity, mu, d, parameter="mu"):
-    """Jacobian in (u, phi, p) of the fold system {F = 0, J phi = 0, <c, phi> = 1}."""
-    return _fold_pattern(grid).matrix(
-        *fold_values(values, phi, grid, nonlinearity, mu, d, (parameter,)), c)
-
-
-def lu_solve(matrix, rhs, err=SingularJacobian):
-    """Solve with a sparse LU factorization checked by its backward error.
-
-    The matrix is factored in the ``FOLD_LU`` column ordering and pivot
-    threshold.  Unless the solution is finite with backward error
-    |Mx - r| / (|M| |x| + |r|) (sup-norms) at most ``BACKWARD_ERROR_MAX``,
-    splu's defaults solve again (:func:`_oracle_solve`) and ``err`` is
-    raised on a singular matrix or a non-finite solution.
-    """
-    matrix = matrix.tocsc()
-    ordering, threshold = FOLD_LU
-    try:
-        x = spla.splu(matrix, permc_spec=ordering,
-                      diag_pivot_thresh=threshold).solve(rhs)
-    except RuntimeError:
-        x = None
-    if x is not None and _backward_error_ok(
-            matrix @ x - rhs, np.bincount(matrix.indices, np.abs(matrix.data),
-                                          matrix.shape[0]), x, rhs):
-        return x
-    return _oracle_solve(matrix, rhs, err)
-
-
-def _oracle_solve(matrix, rhs, err):
-    """Solve with splu's defaults; raises ``err`` on a singular matrix or a
-    non-finite solution."""
+def sparse_solve(matrix, rhs, err=SingularJacobian):
+    """Solve a CSC system with splu's defaults; raises ``err`` on a singular
+    matrix or a non-finite solution."""
     try:
         lu = spla.splu(matrix)
     except RuntimeError as exc:
@@ -253,7 +185,7 @@ def _band(grid):
 def _banded_solve(grid, d, diag, rhs, b, c, delta):
     """Block elimination on the banded LU of J = d*L + diag(diag) with one
     step of iterative refinement; None unless dgbtrf finds no zero pivot and
-    the answer passes the backward-error check of :func:`lu_solve`."""
+    the answer passes :func:`_backward_error_ok`."""
     lap, band, n = lattice.laplacian_matrix(grid), _band(grid), grid.size
     if n == 0:  # an empty grid leaves only the corner, which dgbtrf refuses
         return None
@@ -320,7 +252,7 @@ def bordered_solve(grid, d, diag, rhs, b=None, c=None, delta=None):
     checked by the backward error of the whole bordered system; when the
     Jacobian is exactly singular or the check fails (near a fold block
     elimination can lose accuracy), the assembled matrix is solved by
-    splu's defaults (:func:`_oracle_solve`), which raise
+    splu's defaults (:func:`sparse_solve`), which raise
     :class:`SingularBorderedSystem` (:class:`SingularJacobian` without a
     border) on a singular matrix.  Counted by
     :func:`counting_bordered_solves`.
@@ -331,9 +263,43 @@ def bordered_solve(grid, d, diag, rhs, b=None, c=None, delta=None):
         counts["banded" if x is not None else "fallback"] += 1
     if x is not None:
         return x
-    return _oracle_solve(bordered_matrix(grid, d, diag, b, c, delta), rhs,
+    return sparse_solve(bordered_matrix(grid, d, diag, b, c, delta), rhs,
                         SingularJacobian if b is None
                         else SingularBorderedSystem)
+
+
+def fold_step(values, phi, c, grid, nonlinearity, mu, d, parameter, rhs):
+    """Newton step of the fold system {F = 0, J phi = 0, <c, phi> = 1}.
+
+    Solves [[J, 0, F_p], [H, J, (J phi)_p], [0, c^T, 0]] x = rhs in the
+    unknowns (u, phi, p), H = diag(f_uu phi), by four :func:`bordered_solve`
+    calls with B = [[J, F_p], [c^T, 0]], which is nonsingular at a
+    nondegenerate fold (Govaerts, *Numerical Methods for Bifurcations of
+    Dynamical Equilibria*, SIAM 2000, ch. 3): (a, a_p) solves the F rows,
+    (z, z_p) spans the kernel of [J, F_p], and the multiple t of (z, z_p)
+    is fixed by asking the phi rows' solutions e_1 + t e_2 to need no F_p
+    component.  That component, s_1 + t s_2, has s_2 = 0 exactly where the
+    fold system is singular, which raises :class:`SingularBorderedSystem`.
+    """
+    n = grid.size
+    diag = nonlinearity.f_u(values, mu)
+    f_p = parameter_column(values, grid, nonlinearity, mu, d, parameter)
+    jphi_p = (nonlinearity.f_umu(values, mu) * phi if parameter == "mu"
+              else lattice.laplacian_matrix(grid) @ phi)
+    h = nonlinearity.f_uu(values, mu) * phi
+
+    def solve(top, last):
+        x = bordered_solve(grid, d, diag, np.append(top, last), f_p, c, 0.0)
+        return x[:n], x[n]
+
+    a, a_p = solve(rhs[:n], 0.0)
+    z, z_p = solve(np.zeros(n), 1.0)
+    e1, s1 = solve(rhs[n:2 * n] - h * a - jphi_p * a_p, rhs[-1])
+    e2, s2 = solve(-(h * z + jphi_p * z_p), 0.0)
+    if s2 == 0:  # bordered_solve returns only finite solutions
+        raise SingularBorderedSystem("fold system is singular")
+    t = -s1 / s2
+    return np.concatenate([a + t * z, e1 + t * e2, [a_p + t * z_p]])
 
 
 def newton(residual, step, x0, done, max_iter, halvings=0):

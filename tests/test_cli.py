@@ -185,6 +185,10 @@ class TestOtherCommands:
         assert len(rows) == 3
         fit = json.loads((out / "cusp_fit.json").read_text())
         assert "mu_inf" in fit and "rho" in fit
+        # every fold-refinement step is four counted bordered solves
+        manifest = json.loads((out / "manifest.json").read_text())
+        solves = manifest["stats"]["bordered_solves"]
+        assert solves["banded"] > 0 and solves["fallback"] == 0
 
     def test_isola_negative_control(self, tmp_path):
         # the corner-receded family merges with the primary branch at large

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
-from snaklat import lattice, model, solver
+from snaklat import lattice, model, solver, studies
 from snaklat.lattice import OFFSITE, ONSITE, Field
 from snaklat.model import PatternId, UBAR, VBAR, anti_continuum_pattern
 from test_lattice import ORBIT_SPACES
@@ -301,29 +301,65 @@ class TestAssemblerProperties:
         ref = np.linalg.solve(dense, rhs)
         assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
 
+    @staticmethod
+    def dense_fold_matrix(u, phi, c, g, nl, mu, d, parameter):
+        """The fold system's Jacobian in (u, phi, p), assembled by bmat."""
+        lap = lattice.laplacian_matrix(g)
+        jac = d * lap + sp.diags(nl.f_u(u, mu))
+        f_p, jphi_p = ((nl.f_mu(u, mu), nl.f_umu(u, mu) * phi)
+                       if parameter == "mu" else (lap @ u, lap @ phi))
+        return sp.bmat([
+            [jac, None, sp.csc_matrix(f_p).T],
+            [sp.diags(nl.f_uu(u, mu) * phi), jac, sp.csc_matrix(jphi_p).T],
+            [None, sp.csc_matrix(c), None]]).toarray()
+
     @settings(max_examples=20, deadline=None)
     @given(kind=st.sampled_from(["wedge", "full"]),
            symmetry=st.sampled_from([OFFSITE, ONSITE]),
            n_d=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
            parameter=st.sampled_from(["mu", "d"]))
-    def test_fold_system_matches_bmat(self, kind, symmetry, n_d, seed,
-                                      parameter):
+    def test_fold_step_matches_dense_solve(self, kind, symmetry, n_d, seed,
+                                           parameter):
         nl = model.cubic_quintic()
         g = random_grid(kind, symmetry, n_d)
         rng = np.random.default_rng(seed)
         u, phi, c = (rng.standard_normal(g.size) for _ in range(3))
         mu, d = 0.4, 0.03
-        lap = lattice.laplacian_matrix(g)
-        jac = d * lap + sp.diags(nl.f_u(u, mu))
-        f_p, jphi_p = ((nl.f_mu(u, mu), nl.f_umu(u, mu) * phi)
-                       if parameter == "mu" else (lap @ u, lap @ phi))
-        expect = sp.bmat([
-            [jac, None, sp.csc_matrix(f_p).T],
-            [sp.diags(nl.f_uu(u, mu) * phi), jac, sp.csc_matrix(jphi_p).T],
-            [None, sp.csc_matrix(c), None]])
-        assert np.array_equal(
-            solver.fold_system(u, phi, c, g, nl, mu, d, parameter).toarray(),
-            expect.toarray())
+        dense = self.dense_fold_matrix(u, phi, c, g, nl, mu, d, parameter)
+        assume(np.linalg.cond(dense) < 1e8)
+        rhs = rng.standard_normal(dense.shape[0])
+        x = solver.fold_step(u, phi, c, g, nl, mu, d, parameter, rhs)
+        ref = np.linalg.solve(dense, rhs)
+        assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("parameter", ["mu", "d"])
+    def test_fold_step_at_a_refined_fold(self, parameter):
+        # J is singular to rounding here; B = [[J, F_p], [phi^T, 0]] is not
+        nl = model.cubic_quintic()
+        fold = studies.find_right_fold(nl, 3, 1, 1e-3, n_d=6)
+        u, phi, g = fold.u.values, fold.phi.values, fold.u.grid
+        dense = self.dense_fold_matrix(u, phi, phi, g, nl, fold.mu, fold.d,
+                                       parameter)
+        rhs = np.random.default_rng(5).standard_normal(dense.shape[0])
+        with solver.counting_bordered_solves() as counts:
+            x = solver.fold_step(u, phi, phi, g, nl, fold.mu, fold.d,
+                                 parameter, rhs)
+        assert counts["banded"] + counts["fallback"] == 4
+        norm = np.max(np.sum(np.abs(dense), axis=1))
+        assert (np.max(np.abs(dense @ x - rhs))
+                <= 1e-12 * (norm * np.max(np.abs(x)) + np.max(np.abs(rhs))))
+
+    def test_singular_fold_system_reported(self):
+        # f = -u at d = 0 with a constant phi: f_uu phi = 0 and L phi = 0
+        # leave the phi rows without u or d, so s_2 = 0 while B = [[-I, L u],
+        # [1^T, 0]] is regular
+        nl = model.polynomial([[0.0, -1.0]])
+        g = lattice.wedge(3, OFFSITE)
+        u, phi = np.arange(g.size, dtype=float), np.ones(g.size)
+        assert np.ones(g.size) @ lattice.laplacian_matrix(g) @ u != 0
+        with pytest.raises(solver.SingularBorderedSystem):
+            solver.fold_step(u, phi, phi, g, nl, 0.5, 0.0, "d",
+                             np.ones(2 * g.size + 1))
 
     @settings(max_examples=40, deadline=None)
     @given(space=st.sampled_from(ORBIT_SPACES),

@@ -44,6 +44,25 @@ class TestFoldScale:
             assert abs(b.mu - a.mu / 4) < 1e-8
             assert np.max(np.abs(b.u.values - a.u.values)) < 1e-8
 
+    def test_snake_folds_map_to_a_rescaled_window(self):
+        # 2 f(v/2, 4 nu) = -4 nu v + v^3/2 - v^5/16: F~(v, nu, d) =
+        # 2 F(v/2, 4 nu, d), so its folds are the cubic-quintic's at
+        # mu = 4 nu, u = v/2
+        c = np.zeros((2, 6))
+        c[1, 1], c[0, 3], c[0, 5] = -4.0, 0.5, -1.0 / 16
+        scaled = model.polynomial(c, endpoint_lo=model.PITCHFORK,
+                                  endpoint_hi=model.FOLD, window=(0.0, 0.25))
+        ref = ct.detect_and_refine_folds(
+            studies.snake_branch(NL, 1e-3, n_d=6, max_folds=5), NL)
+        got = ct.detect_and_refine_folds(
+            studies.snake_branch(scaled, 1e-3, n_d=6, max_folds=5,
+                                 mu_start=0.125), scaled)
+        assert len(got) == len(ref) == 5
+        for a, b in zip(ref, got):
+            assert a.refined and b.refined
+            assert abs(4 * b.mu - a.mu) < 1e-9
+            assert np.max(np.abs(b.u.values / 2 - a.u.values)) < 1e-8
+
 
 class TestExpectedFoldSequence:
     def test_matches_orbit_sizes(self):
