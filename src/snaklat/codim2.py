@@ -236,7 +236,7 @@ def component_nullities(u_wedge, nonlinearity, mu, d, rep, tol=1e-6):
 
 def fold_curve_crossing(nonlinearity, N, n_d, symmetry=lattice.OFFSITE,
                         d_bracket=(0.04, 0.12), d_resolution=2e-4,
-                        noise_floor=1e-10):
+                        noise_floor=1e-10, folds=None):
     """Coupling where the rightmost-fold curves of u-bar(N,1) and
     u-bar(N+1,1) cross.
 
@@ -246,13 +246,25 @@ def fold_curve_crossing(nonlinearity, N, n_d, symmetry=lattice.OFFSITE,
     wide patterns unmeasurable) amount, so the crossing is bisected on the
     sign of the gap with a noise floor: a gap below ``-noise_floor`` counts
     as past the crossing.  Returns (d_star, mu_star, fold_N).
+
+    ``folds`` maps (width, d) to the refined right fold of u-bar(width, 1)
+    for this nonlinearity, ``n_d`` and ``symmetry``; every probe is looked
+    up there and hunted only on a miss.  :func:`cusp_sequence` shares one
+    table across widths, whose bisections start from the same bracket, so
+    the bracket ends and the midpoints they share are hunted once; a call
+    without one gets a fresh table.
     """
+    folds = {} if folds is None else folds
+
+    def right_fold(width, d):
+        if (width, d) not in folds:
+            folds[width, d] = studies.find_right_fold(
+                nonlinearity, width, 1, d, symmetry=symmetry, n_d=n_d)
+        return folds[width, d]
+
     def gap(d):
-        fa = studies.find_right_fold(nonlinearity, N, 1, d,
-                                     symmetry=symmetry, n_d=n_d)
-        fb = studies.find_right_fold(nonlinearity, N + 1, 1, d,
-                                     symmetry=symmetry, n_d=n_d)
-        return fb.mu - fa.mu, fa
+        fa = right_fold(N, d)
+        return right_fold(N + 1, d).mu - fa.mu, fa
 
     a, b = d_bracket
     ga, fold_a = gap(a)
@@ -279,7 +291,7 @@ def fold_curve_crossing(nonlinearity, N, n_d, symmetry=lattice.OFFSITE,
         else:
             a = mid
     d_star = 0.5 * (a + b)
-    _, fold = gap(d_star)
+    fold = right_fold(N, d_star)
     return d_star, fold.mu, fold
 
 
@@ -289,30 +301,33 @@ def cusp_sequence(n_range, nonlinearity, n_d=25, symmetry=lattice.OFFSITE,
 
     Each collision sits where the rightmost-fold curve of u-bar(N,1) is
     crossed by that of the next-wider pattern; the crossing is bisected on
-    the sign of the fold gap (:func:`fold_curve_crossing`) and then
-    polished with the extended Newton system (which bottoms out at the
-    small avoided-crossing floor recorded per point).  Returns ``(points, fit)`` where points is a list of per-N
-    dicts and fit carries the geometric extrapolation (mu_inf, d_inf, rho).
+    the sign of the fold gap (:func:`fold_curve_crossing`, one table of
+    fold hunts shared by every width) and then polished with the extended
+    Newton system (which bottoms out at the small avoided-crossing floor
+    recorded per point), started from the null vector of the sign component
+    whose eigenvalue is nearest zero.  Returns ``(points, fit)`` where
+    points is a list of per-N dicts and fit carries the geometric
+    extrapolation (mu_inf, d_inf, rho).
     Per-N failures are recorded and skipped.
     """
     n_range = [int(n) for n in n_range]
     if any(n < 4 or n > 16 for n in n_range):
         raise ValueError("pattern widths must lie in [4, 16]")
-    points = []
+    points, folds = [], {}
     for N in n_range:
         entry = {"N": int(N), "converged": False, "nullity_check": False}
         try:
             d_star, mu_star, fold = fold_curve_crossing(
-                nonlinearity, N, n_d, symmetry=symmetry, d_bracket=d_bracket)
+                nonlinearity, N, n_d, symmetry=symmetry, d_bracket=d_bracket,
+                folds=folds)
             entry.update({"mu": mu_star, "d": d_star, "converged": True})
             try:
-                rep = min(
-                    SIGN_REPS,
-                    key=lambda r: abs(smallest_component_eig(
-                        fold.u.values, fold.u.grid, nonlinearity, fold.mu,
-                        fold.d, r)[0]))
+                eigs = {r: smallest_component_eig(
+                    fold.u.values, fold.u.grid, nonlinearity, fold.mu,
+                    fold.d, r) for r in SIGN_REPS}
+                rep = min(SIGN_REPS, key=lambda r: abs(eigs[r][0]))
                 cusp = find_cusp(fold.u, fold.mu, fold.d, nonlinearity, rep,
-                                 phi1=fold.phi.values,
+                                 phi1=fold.phi.values, phi2=eigs[rep][1],
                                  stall_accept=stall_accept,
                                  max_param_move=0.05)
                 cusp.label = (N, 1)

@@ -3,12 +3,14 @@
 The Jacobian d*L + diag(f_u) inherits the Laplacian's closure: on full
 squares it is symmetric; on the wedge it is self-adjoint only in the
 orbit-weighted inner product.  In natural site order it is banded, with
-bandwidths at most twice the grid's half-width.  :func:`bordered_solve`
-factors it with LAPACK's banded LU, eliminates the one border row and
-column by block elimination, refines once and checks the backward error
-matrix-free; :func:`sparse_solve` (splu's defaults) is the oracle it falls
-back on.  It is the linear solve of every Newton step on F = 0 and, four
-times over in :func:`fold_step`, of every step on the fold system.
+bandwidths at most twice the grid's half-width.  :class:`BorderedLU`
+factors it once with LAPACK's banded LU; each right-hand side then
+eliminates the one border row and column, refines once and checks the
+backward error matrix-free, with :func:`sparse_solve` (splu's defaults) as
+the oracle it falls back on.  :func:`bordered_solve`, one factorization
+for one right-hand side, is the linear solve of every Newton step on
+F = 0; :func:`fold_step` solves every step on the fold system with one
+factorization and four right-hand sides.
 """
 
 from __future__ import annotations
@@ -155,15 +157,13 @@ def _backward_error_ok(residual, row_abs, x, rhs):
 
 
 class _Band(NamedTuple):
-    """Where d*L + diag lands in LAPACK band storage, kept transposed: an
-    (n, 2 kl + ku + 1) C-ordered array whose transpose is what dgbtrf reads,
-    so entry (i, j) of the matrix sits at flat index j*width + kl+ku + i-j."""
+    """L in LAPACK band storage, kept transposed: an (n, 2 kl + ku + 1)
+    C-ordered array whose transpose is what dgbtrf reads, so entry (i, j)
+    of the matrix sits at [j, kl+ku + i-j] and the diagonal is column
+    kl+ku."""
     kl: int
     ku: int
-    width: int
-    data: np.ndarray        # flat index of each entry of the Laplacian's data
-    diag: np.ndarray        # flat index of each diagonal entry
-    lap_diag: np.ndarray    # diagonal of L
+    image: np.ndarray       # read-only; d*image is d*L in band storage
     off_abs: np.ndarray     # row sums of |L| off the diagonal
 
 
@@ -172,62 +172,12 @@ def _band(grid):
     lap = lattice.laplacian_matrix(grid)
     rows, cols = (x.astype(np.intp) for x in operator_block(lap, 0, 0))
     kl, ku = (int(np.max(x, initial=0)) for x in (rows - cols, cols - rows))
-    width = 2 * kl + ku + 1
-    sites = np.arange(grid.size)
+    image = np.zeros((grid.size, 2 * kl + ku + 1))
+    image[cols, kl + ku + rows - cols] = lap.data
+    image.setflags(write=False)
     off = rows != cols
-    return _Band(kl, ku, width, cols * width + kl + ku + rows - cols,
-                 sites * width + kl + ku, lap.diagonal(),
+    return _Band(kl, ku, image,
                  np.bincount(rows[off], np.abs(lap.data[off]), grid.size))
-
-
-# non-finite values fail the check and take the oracle, so need no warning
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _banded_solve(grid, d, diag, rhs, b, c, delta):
-    """Block elimination on the banded LU of J = d*L + diag(diag) with one
-    step of iterative refinement; None unless dgbtrf finds no zero pivot and
-    the answer passes :func:`_backward_error_ok`."""
-    lap, band, n = lattice.laplacian_matrix(grid), _band(grid), grid.size
-    if n == 0:  # an empty grid leaves only the corner, which dgbtrf refuses
-        return None
-    ab = np.zeros((n, band.width))
-    flat = ab.reshape(-1)
-    flat[band.data] = d * lap.data
-    flat[band.diag] += diag
-    lu, piv, info = lapack.dgbtrf(ab.T, band.kl, band.ku, overwrite_ab=1)
-    if info != 0:
-        return None
-
-    def jac_apply(x):
-        return d * (lap @ x) + diag * x
-
-    def jac_solve(r):
-        return lapack.dgbtrs(lu, band.kl, band.ku, r, piv)[0]
-
-    row_abs = abs(d) * band.off_abs + np.abs(d * band.lap_diag + diag)
-    if b is None:
-        apply, solve = jac_apply, jac_solve
-        x = jac_solve(rhs)
-    else:
-        # J [v, w] = [r, b] in one call; w serves the refinement too
-        v, w = jac_solve(np.array([rhs[:n], b]).T).T
-        schur = delta - c @ w
-
-        def eliminate(r, v):
-            p = (r[n] - c @ v) / schur
-            return np.append(v - p * w, p)
-
-        def apply(x):
-            return np.append(jac_apply(x[:n]) + b * x[n],
-                             c @ x[:n] + delta * x[n])
-
-        def solve(r):
-            return eliminate(r, jac_solve(r[:n]))
-
-        x = eliminate(rhs, v)
-        row_abs = np.append(row_abs + np.abs(b),
-                            np.sum(np.abs(c)) + abs(delta))
-    x = x + solve(rhs - apply(x))
-    return x if _backward_error_ok(apply(x) - rhs, row_abs, x, rhs) else None
 
 
 _solve_counts = contextvars.ContextVar("bordered_solve_counts", default=None)
@@ -235,9 +185,10 @@ _solve_counts = contextvars.ContextVar("bordered_solve_counts", default=None)
 
 @contextlib.contextmanager
 def counting_bordered_solves():
-    """Count the :func:`bordered_solve` calls inside the block by path: a
-    dict {"banded": k, "fallback": m}, filled in as they happen."""
-    counts = {"banded": 0, "fallback": 0}
+    """Count the bordered solves inside the block by path, and the banded
+    factorizations they share: a dict {"banded": k, "fallback": m,
+    "factorizations": f}, filled in as they happen."""
+    counts = {"banded": 0, "fallback": 0, "factorizations": 0}
     token = _solve_counts.set(counts)
     try:
         yield counts
@@ -245,37 +196,105 @@ def counting_bordered_solves():
         _solve_counts.reset(token)
 
 
-def bordered_solve(grid, d, diag, rhs, b=None, c=None, delta=None):
-    """Solve ``bordered_matrix(grid, d, diag, b, c, delta) x = rhs``.
-
-    Block elimination on the banded LU of the Jacobian, refined once and
-    checked by the backward error of the whole bordered system; when the
-    Jacobian is exactly singular or the check fails (near a fold block
-    elimination can lose accuracy), the assembled matrix is solved by
-    splu's defaults (:func:`sparse_solve`), which raise
-    :class:`SingularBorderedSystem` (:class:`SingularJacobian` without a
-    border) on a singular matrix.  Counted by
-    :func:`counting_bordered_solves`.
-    """
-    x = _banded_solve(grid, d, diag, rhs, b, c, delta)
+def _count(key):
     counts = _solve_counts.get()
     if counts is not None:
-        counts["banded" if x is not None else "fallback"] += 1
-    if x is not None:
-        return x
-    return sparse_solve(bordered_matrix(grid, d, diag, b, c, delta), rhs,
-                        SingularJacobian if b is None
-                        else SingularBorderedSystem)
+        counts[key] += 1
+
+
+class BorderedLU:
+    """``bordered_matrix(grid, d, diag, b, c, delta)`` factored once for
+    any number of right-hand sides (no border when b is None).
+
+    One dgbtrf of J = d*L + diag(diag), filled from the grid's band image of
+    L; with a border, J^-1 b and the Schur complement delta - c^T J^-1 b are
+    formed once too.  :meth:`solve` eliminates the border, refines once and
+    checks the backward error of the whole system matrix-free; when J is
+    exactly singular or the check fails (near a fold block elimination can
+    lose accuracy), that right-hand side is solved by splu's defaults
+    (:func:`sparse_solve`), which raise :class:`SingularBorderedSystem`
+    (:class:`SingularJacobian` without a border) on a singular matrix.
+    Factorizations and solves are counted by
+    :func:`counting_bordered_solves`.
+    """
+
+    # non-finite values fail the check and take the oracle, so need no
+    # warning
+    @np.errstate(divide="ignore", over="ignore", invalid="ignore")
+    def __init__(self, grid, d, diag, b=None, c=None, delta=None):
+        self.grid, self.d, self.diag = grid, d, diag
+        self.b, self.c, self.delta = b, c, delta
+        self.lap, self.band = lattice.laplacian_matrix(grid), _band(grid)
+        self.factors = None
+        kl, ku = self.band.kl, self.band.ku
+        if grid.size == 0:  # only the corner is left; dgbtrf refuses it
+            return
+        ab = d * self.band.image
+        ab[:, kl + ku] += diag
+        self.row_abs = abs(d) * self.band.off_abs + np.abs(ab[:, kl + ku])
+        lu, piv, info = lapack.dgbtrf(ab.T, kl, ku, overwrite_ab=1)
+        _count("factorizations")
+        if info != 0:
+            return
+        self.factors = lu, piv
+        if b is not None:
+            self.w = self._jac_solve(b)
+            self.schur = delta - c @ self.w
+            self.row_abs = np.append(self.row_abs + np.abs(b),
+                                     np.sum(np.abs(c)) + abs(delta))
+
+    def _jac_solve(self, r):
+        lu, piv = self.factors
+        return lapack.dgbtrs(lu, self.band.kl, self.band.ku, r, piv)[0]
+
+    def _apply(self, x):
+        if self.b is None:
+            return self.d * (self.lap @ x) + self.diag * x
+        v = x[:-1]
+        return np.append(self.d * (self.lap @ v) + self.diag * v
+                         + self.b * x[-1], self.c @ v + self.delta * x[-1])
+
+    def _banded_solve(self, r):
+        if self.b is None:
+            return self._jac_solve(r)
+        v = self._jac_solve(r[:-1])
+        p = (r[-1] - self.c @ v) / self.schur
+        return np.append(v - p * self.w, p)
+
+    @np.errstate(divide="ignore", over="ignore", invalid="ignore")
+    def _checked_solve(self, rhs):
+        """The refined banded answer, or None when it fails
+        :func:`_backward_error_ok`."""
+        x = self._banded_solve(rhs)
+        x = x + self._banded_solve(rhs - self._apply(x))
+        return (x if _backward_error_ok(self._apply(x) - rhs, self.row_abs,
+                                        x, rhs) else None)
+
+    def solve(self, rhs):
+        x = None if self.factors is None else self._checked_solve(rhs)
+        _count("banded" if x is not None else "fallback")
+        if x is not None:
+            return x
+        return sparse_solve(
+            bordered_matrix(self.grid, self.d, self.diag, self.b, self.c,
+                            self.delta), rhs,
+            SingularJacobian if self.b is None else SingularBorderedSystem)
+
+
+def bordered_solve(grid, d, diag, rhs, b=None, c=None, delta=None):
+    """Solve ``bordered_matrix(grid, d, diag, b, c, delta) x = rhs`` through
+    a :class:`BorderedLU` used once."""
+    return BorderedLU(grid, d, diag, b, c, delta).solve(rhs)
 
 
 def fold_step(values, phi, c, grid, nonlinearity, mu, d, parameter, rhs):
     """Newton step of the fold system {F = 0, J phi = 0, <c, phi> = 1}.
 
     Solves [[J, 0, F_p], [H, J, (J phi)_p], [0, c^T, 0]] x = rhs in the
-    unknowns (u, phi, p), H = diag(f_uu phi), by four :func:`bordered_solve`
-    calls with B = [[J, F_p], [c^T, 0]], which is nonsingular at a
-    nondegenerate fold (Govaerts, *Numerical Methods for Bifurcations of
-    Dynamical Equilibria*, SIAM 2000, ch. 3): (a, a_p) solves the F rows,
+    unknowns (u, phi, p), H = diag(f_uu phi), by four solves with one
+    :class:`BorderedLU` of B = [[J, F_p], [c^T, 0]], which is nonsingular
+    at a nondegenerate fold (Govaerts, *Numerical Methods for Bifurcations
+    of Dynamical Equilibria*, SIAM 2000, ch. 3): (a, a_p) solves the F rows,
     (z, z_p) spans the kernel of [J, F_p], and the multiple t of (z, z_p)
     is fixed by asking the phi rows' solutions e_1 + t e_2 to need no F_p
     component.  That component, s_1 + t s_2, has s_2 = 0 exactly where the
@@ -287,9 +306,10 @@ def fold_step(values, phi, c, grid, nonlinearity, mu, d, parameter, rhs):
     jphi_p = (nonlinearity.f_umu(values, mu) * phi if parameter == "mu"
               else lattice.laplacian_matrix(grid) @ phi)
     h = nonlinearity.f_uu(values, mu) * phi
+    lu = BorderedLU(grid, d, diag, f_p, c, 0.0)
 
     def solve(top, last):
-        x = bordered_solve(grid, d, diag, np.append(top, last), f_p, c, 0.0)
+        x = lu.solve(np.append(top, last))
         return x[:n], x[n]
 
     a, a_p = solve(rhs[:n], 0.0)

@@ -119,11 +119,14 @@ def _first_fold(u, nonlinearity, mu_start, d, band, cap, direction, p_bounds,
     """Continue in mu to the first fold and refine it.
 
     Inside ``band`` the step is capped at ``cap``; the cap shrinks fourfold
-    and the run is repeated while the fold fails to refine.
+    and the run is repeated while the fold fails to refine.  The branch
+    stops one point past the fold, the last point the refinement reads,
+    unless it is returned, when it keeps the default tail.
     """
+    tail = StepConfig.points_after_fold if return_branch else 1
     for _ in range(max_retries + 1):
         cfg = StepConfig(stop_after_folds=1, max_points=3000,
-                         refine_bands=((*band, cap),))
+                         points_after_fold=tail, refine_bands=((*band, cap),))
         branch = continuation.continue_branch(
             u, nonlinearity, mu_start, d, parameter="mu", config=cfg,
             direction=direction, p_bounds=p_bounds)

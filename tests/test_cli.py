@@ -88,7 +88,7 @@ class TestSnake:
         assert len(folds) == 3
         manifest = json.loads((out / "manifest.json").read_text())
         solves = manifest["stats"]["bordered_solves"]
-        assert set(solves) == {"banded", "fallback"}
+        assert set(solves) == {"banded", "fallback", "factorizations"}
         assert solves["banded"] > 0 and solves["fallback"] == 0
 
     def test_missed_event_is_a_numerical_failure(self, tmp_path, capsys,
@@ -185,10 +185,12 @@ class TestOtherCommands:
         assert len(rows) == 3
         fit = json.loads((out / "cusp_fit.json").read_text())
         assert "mu_inf" in fit and "rho" in fit
-        # every fold-refinement step is four counted bordered solves
+        # every fold-refinement step is four counted bordered solves on
+        # one factorization
         manifest = json.loads((out / "manifest.json").read_text())
         solves = manifest["stats"]["bordered_solves"]
         assert solves["banded"] > 0 and solves["fallback"] == 0
+        assert solves["factorizations"] < solves["banded"]
 
     def test_isola_negative_control(self, tmp_path):
         # the corner-receded family merges with the primary branch at large

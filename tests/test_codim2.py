@@ -92,6 +92,49 @@ class TestFindCusp:
         assert cusp.null_residuals[1] < 1e-4  # avoided-crossing floor
 
 
+def same_fold(a, b):
+    return (a.mu == b.mu and a.d == b.d and a.refined == b.refined
+            and np.array_equal(a.u.values, b.u.values)
+            and np.array_equal(a.phi.values, b.phi.values))
+
+
+class TestFoldHuntTable:
+    BRACKET = (0.05, 0.1)
+
+    @pytest.mark.slow
+    def test_seeded_table_gives_the_same_crossing(self):
+        fresh = codim2.fold_curve_crossing(NL, 5, 14, d_bracket=self.BRACKET)
+        folds = {}
+        codim2.fold_curve_crossing(NL, 4, 14, d_bracket=self.BRACKET,
+                                   folds=folds)
+        # the previous width hunted u-bar(5,1) at the shared probes
+        assert any(width == 5 for width, _ in folds)
+        seeded = codim2.fold_curve_crossing(NL, 5, 14,
+                                            d_bracket=self.BRACKET,
+                                            folds=folds)
+        assert fresh[:2] == seeded[:2]
+        assert same_fold(fresh[2], seeded[2])
+        # the returned fold is u-bar(5,1)'s; u-bar(6,1) is not hunted there
+        assert same_fold(folds[5, seeded[0]], seeded[2])
+        assert (6, seeded[0]) not in folds
+
+    @pytest.mark.slow
+    def test_no_fold_is_hunted_twice(self, monkeypatch):
+        hunted = []
+        real = studies.find_right_fold
+
+        def spy(nonlinearity, N, M, d, **kwargs):
+            hunted.append((N, M, d))
+            return real(nonlinearity, N, M, d, **kwargs)
+
+        monkeypatch.setattr(studies, "find_right_fold", spy)
+        points, _ = codim2.cusp_sequence([4, 5], NL, n_d=14,
+                                         d_bracket=self.BRACKET)
+        assert all(e["converged"] for e in points)
+        assert {N for N, _, _ in hunted} == {4, 5, 6}
+        assert len(hunted) == len(set(hunted))
+
+
 class TestGridConvergence:
     def test_fold_location_insensitive_to_domain_size(self):
         # collision-region folds are converged in the truncation radius:

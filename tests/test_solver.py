@@ -259,7 +259,7 @@ class TestBorderedSolve:
             with pytest.raises(solver.SingularBorderedSystem):
                 solver.bordered_solve(g, 0.0, np.ones(g.size),
                                       np.ones(g.size + 1), e0, e0, 1.0)
-        assert counts == {"banded": 0, "fallback": 1}
+        assert counts == {"banded": 0, "fallback": 1, "factorizations": 1}
 
 
 def random_grid(kind, symmetry, n_d):
@@ -345,9 +345,29 @@ class TestAssemblerProperties:
             x = solver.fold_step(u, phi, phi, g, nl, fold.mu, fold.d,
                                  parameter, rhs)
         assert counts["banded"] + counts["fallback"] == 4
+        assert counts["factorizations"] == 1
         norm = np.max(np.sum(np.abs(dense), axis=1))
         assert (np.max(np.abs(dense @ x - rhs))
                 <= 1e-12 * (norm * np.max(np.abs(x)) + np.max(np.abs(rhs))))
+
+    @pytest.mark.parametrize("parameter", ["mu", "d"])
+    def test_fold_step_falls_back_per_solve_on_one_factorization(
+            self, monkeypatch, parameter):
+        # with a zero bound every banded check fails, so each of the four
+        # right-hand sides of the one factorization takes splu's path
+        monkeypatch.setattr(solver, "BACKWARD_ERROR_MAX", 0.0)
+        nl = model.cubic_quintic()
+        g = lattice.wedge(6, OFFSITE)
+        rng = np.random.default_rng(12)
+        u, phi, c = (rng.standard_normal(g.size) for _ in range(3))
+        mu, d = 0.4, 0.03
+        dense = self.dense_fold_matrix(u, phi, c, g, nl, mu, d, parameter)
+        rhs = rng.standard_normal(dense.shape[0])
+        with solver.counting_bordered_solves() as counts:
+            x = solver.fold_step(u, phi, c, g, nl, mu, d, parameter, rhs)
+        assert counts == {"banded": 0, "fallback": 4, "factorizations": 1}
+        ref = np.linalg.solve(dense, rhs)
+        assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_singular_fold_system_reported(self):
         # f = -u at d = 0 with a constant phi: f_uu phi = 0 and L phi = 0
@@ -417,12 +437,12 @@ class TestAssemblerProperties:
         # a 1e-4 error survives one refinement step as ~1e-8 and fails the
         # check, so the answer is splu's with its default options, bitwise
         x, matrix, rhs, counts = self.perturbed_solve(monkeypatch, 1 + 1e-4)
-        assert counts == {"banded": 0, "fallback": 1}
+        assert counts == {"banded": 0, "fallback": 1, "factorizations": 1}
         assert np.array_equal(x, spla.splu(matrix).solve(rhs))
 
     def test_refinement_repairs_a_small_error(self, monkeypatch):
         # one refinement step squares a 1e-8 relative error of the
         # triangular solves, which then passes the check on the banded path
         x, matrix, rhs, counts = self.perturbed_solve(monkeypatch, 1 + 1e-8)
-        assert counts == {"banded": 1, "fallback": 0}
+        assert counts == {"banded": 1, "fallback": 0, "factorizations": 1}
         assert np.max(np.abs(matrix @ x - rhs)) <= 1e-14

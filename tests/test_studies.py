@@ -64,6 +64,31 @@ class TestFoldScale:
             assert np.max(np.abs(b.u.values / 2 - a.u.values)) < 1e-8
 
 
+class TestFoldHunt:
+    def test_plain_hunt_stops_one_point_past_the_fold(self, monkeypatch):
+        branches = []
+        real = ct.continue_branch
+
+        def spy(*args, **kwargs):
+            branches.append(real(*args, **kwargs))
+            return branches[-1]
+
+        monkeypatch.setattr(ct, "continue_branch", spy)
+        fold = studies.find_right_fold(NL, 3, 1, 1e-3, n_d=6)
+        plain = branches[-1]
+        kept, branch = studies.find_right_fold(NL, 3, 1, 1e-3, n_d=6,
+                                               return_branch=True)
+        assert branch is branches[-1]
+        assert (fold.mu, fold.d) == (kept.mu, kept.d)
+        assert np.array_equal(fold.u.values, kept.u.values)
+        assert np.array_equal(fold.phi.values, kept.phi.values)
+        (idx,) = plain.fold_indices()
+        assert len(plain.points) == idx + 2
+        assert all(np.array_equal(a.u.values, b.u.values) and a.mu == b.mu
+                   for a, b in zip(plain.points, branch.points))
+        assert len(branch.points) > idx + 2
+
+
 class TestExpectedFoldSequence:
     def test_matches_orbit_sizes(self):
         seq = studies.expected_fold_sequence(19)
