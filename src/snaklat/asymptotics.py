@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.optimize
+
+from . import solver
 
 PITCHFORK_INTERIOR = "pitchfork_interior"
 PITCHFORK_CORNER = "pitchfork_corner"
@@ -117,11 +118,26 @@ def _third_derivative(nonlinearity, mu, h=1e-2):
 def _colliding_root(nonlinearity, mu):
     # u_-(mu) = u_+(mu) at a fold endpoint is a double root, which a
     # sign-change root scan cannot see: Newton on f_u(., mu) from u_+ a
-    # little inside the window
+    # little inside the window, step for step the scalar Newton of
+    # scipy.optimize.newton (fprime given, tol = 1e-15, rtol = 0, 50
+    # iterations)
     lo, hi = nonlinearity.window
-    return float(scipy.optimize.newton(
-        nonlinearity.f_u, nonlinearity.u_plus(mu - 1e-2 * (hi - lo)),
-        fprime=nonlinearity.f_uu, args=(mu,), tol=1e-15))
+    p0 = np.asarray(nonlinearity.u_plus(mu - 1e-2 * (hi - lo)))[()] * 1.0
+    for _ in range(50):
+        fval = nonlinearity.f_u(p0, mu)
+        if fval == 0:
+            return float(p0)
+        fder = nonlinearity.f_uu(p0, mu)
+        if fder == 0:
+            raise solver.NoConvergence(
+                f"colliding root at mu={mu}: f_uu = 0 at u={p0}", x=p0)
+        p = p0 - fval / fder
+        if abs(p - p0) <= 1e-15:
+            return float(p)
+        p0 = p
+    raise solver.NoConvergence(
+        f"colliding root at mu={mu}: no convergence in 50 iterations, "
+        f"last u={p0}", x=p0)
 
 
 def predict_fold_mu_gauged(nonlinearity, ending, d):

@@ -112,7 +112,7 @@ def _write_manifest(out_dir, cfg, seed, t0, outputs, bordered_solves):
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
-        "wall_time_s": time.time() - t0,
+        "wall_time_s": time.perf_counter() - t0,
         "outputs": outputs,
         "stats": {"bordered_solves": bordered_solves},
     }
@@ -333,7 +333,7 @@ def main(argv=None):
                         help="overrides config seed")
     args = parser.parse_args(argv)
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         cfg = load_config(args.config, args.command)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:

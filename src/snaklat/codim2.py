@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse as sp
 
 from . import continuation, lattice, solver, spectral, studies
@@ -355,28 +354,13 @@ def fit_geometric(points, trim=True):
 
     def run_fit(entries):
         ns = np.array([e["N"] for e in entries], dtype=float)
-        mus = np.array([e["mu"] for e in entries])
-        ds = np.array([e["d"] for e in entries])
-
-        def model(theta):
-            mu_inf, d_inf, log_rho, cmu, cd = theta
-            rho_n = np.exp(log_rho * ns)
-            return np.concatenate([
-                (mus - mu_inf - cmu * rho_n),
-                (ds - d_inf - cd * rho_n) * 10.0,
-            ])
-
-        rho0 = float(np.clip(_median_ratio(np.diff(ds), 0.5), 0.05, 0.95))
-        theta0 = np.array([
-            mus[-1], ds[-1], np.log(rho0),
-            (mus[0] - mus[-1]) / rho0 ** ns[0],
-            (ds[0] - ds[-1]) / rho0 ** ns[0],
-        ])
-        sol = scipy.optimize.least_squares(model, theta0, method="lm",
-                                           max_nfev=20000)
-        resid = model(sol.x).reshape(2, -1)
-        per_point = np.sqrt(resid[0] ** 2 + resid[1] ** 2)
-        return sol.x, per_point
+        ys = np.array([[e["mu"], e["d"]] for e in entries])
+        rho0 = float(np.clip(_median_ratio(np.diff(ys[:, 1]), 0.5),
+                             0.05, 0.95))
+        log_rho = _min_geometric_cost(ns, ys, np.log(rho0))
+        (mu_inf, d_inf), _, resid = _geometric_lsq(ns, ys, log_rho)
+        per_point = np.sqrt(resid[:, 0] ** 2 + resid[:, 1] ** 2)
+        return (mu_inf, d_inf, log_rho), per_point
 
     theta, per_point = run_fit(good)
     kept = good
@@ -392,7 +376,7 @@ def fit_geometric(points, trim=True):
                 theta, per_point = run_fit(kept)
             else:
                 break
-    mu_inf, d_inf, log_rho, _, _ = theta
+    mu_inf, d_inf, log_rho = theta
     mus = [e["mu"] for e in kept]
     ds = [e["d"] for e in kept]
     sane = (min(mus) - 0.05 <= mu_inf <= max(mus) + 0.05
@@ -411,6 +395,61 @@ def fit_geometric(points, trim=True):
         "n_points": len(kept),
         "fit_residual": float(np.sqrt(np.mean(per_point**2))),
     }
+
+
+# weights of the (mu, d) rows in the geometric fit
+_FIT_WEIGHTS = np.array([1.0, 10.0])
+# log(rho) search interval: past 0.99, where the fit is judged degenerate
+_LOG_RHO_RANGE = (np.log(1e-8), np.log(2.0))
+
+
+def _geometric_lsq(ns, ys, log_rho):
+    """Best (x_inf, C) of each column of ys under x_N = x_inf + C rho^N for
+    one rate (linear least squares).  Returns the limits, the amplitudes of
+    the basis rho^(N - N_0) and the weighted residuals."""
+    rate = np.exp(log_rho * (ns - ns[0]))
+    basis = np.column_stack([np.ones_like(ns), rate])
+    coef = np.linalg.lstsq(basis, ys, rcond=None)[0]
+    return coef[0], coef[1], (ys - basis @ coef) * _FIT_WEIGHTS
+
+
+def _min_geometric_cost(ns, ys, log_rho0):
+    """Variable projection: the nearest local minimum downhill from
+    log_rho0 of the weighted cost over log(rho), (x_inf, C) eliminated.
+
+    The cost's derivative is -2 sum w r (dA/dlog rho) C, since the residual
+    r is orthogonal to the basis A.  Steps of 0.05 bracket the first sign
+    change of the derivative (or reach the end of the search interval), and
+    bisection locates it; a start that already fits to rounding (constant
+    sequences) is kept.
+    """
+    def slope(log_rho):
+        _, amp, resid = _geometric_lsq(ns, ys, log_rho)
+        d_basis = (ns - ns[0]) * np.exp(log_rho * (ns - ns[0]))
+        return -2.0 * float(np.sum(resid * _FIT_WEIGHTS * amp
+                                   * d_basis[:, None]))
+
+    _, _, resid = _geometric_lsq(ns, ys, log_rho0)
+    s0 = slope(log_rho0)
+    if s0 == 0.0 or np.abs(resid).max() <= 1e-15 * np.abs(ys).max():
+        return log_rho0
+    lo, hi = _LOG_RHO_RANGE
+    step = -0.05 if s0 > 0 else 0.05
+    a = log_rho0
+    while True:
+        b = min(max(a + step, lo), hi)
+        if slope(b) * s0 <= 0:
+            break
+        if b in (lo, hi):
+            return b
+        a = b
+    while abs(b - a) > 1e-14:
+        mid = 0.5 * (a + b)
+        if slope(mid) * s0 > 0:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
 
 
 def _median_ratio(diffs, default):

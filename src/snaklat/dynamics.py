@@ -6,7 +6,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from . import lattice, solver
 from .lattice import Field
@@ -32,6 +31,9 @@ def integrate(u0, nonlinearity, mu, d, t_end, n_samples=81, rtol=1e-8,
 
     ``reference`` (default: the initial state) defines the deviation track.
     """
+    # imported on first use: no other command needs scipy.integrate
+    import scipy.integrate
+
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     grid = u0.grid

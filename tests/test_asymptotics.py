@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from snaklat import asymptotics as asy
-from snaklat import model
+from snaklat import model, solver
 
 
 class TestPredictions:
@@ -117,6 +118,45 @@ class TestPredictions:
         assert asy.gauge_coefficient(
             model.polynomial(qc), asy.TRANS0_INTERIOR) == \
             pytest.approx(4 * math.sqrt(2), rel=1e-12)
+
+
+class TestCollidingRoot:
+    @staticmethod
+    def _scipy_root(nl, mu):
+        lo, hi = nl.window
+        return float(scipy.optimize.newton(
+            nl.f_u, nl.u_plus(mu - 1e-2 * (hi - lo)), fprime=nl.f_uu,
+            args=(mu,), tol=1e-15))
+
+    @pytest.mark.parametrize("family", ["cubic_quintic", "quadratic_cubic",
+                                        "cubic_logistic"])
+    def test_builtins_match_scipy_newton_bitwise(self, family):
+        nl = model.builtin_nonlinearity(family)
+        for mu in (1.0, 0.9, 0.5):
+            assert asy._colliding_root(nl, mu) == self._scipy_root(nl, mu)
+
+    def test_rescaled_window_matches_scipy_newton_bitwise(self):
+        # -mu u + u^3 - u^5 on (0, 1/4): u* = 1/sqrt(2) at the upper end
+        c = np.zeros((2, 6))
+        c[1, 1], c[0, 3], c[0, 5] = -1.0, 1.0, -1.0
+        nl = model.polynomial(c, window=(0.0, 0.25))
+        for mu in (0.25, 0.2, 0.125):
+            assert asy._colliding_root(nl, mu) == self._scipy_root(nl, mu)
+        assert asy._colliding_root(nl, 0.25) == \
+            pytest.approx(1 / math.sqrt(2), rel=1e-15)
+
+    def test_zero_second_derivative_is_a_solver_error(self, monkeypatch):
+        nl = model.cubic_quintic()
+        monkeypatch.setattr(nl, "f_uu", lambda u, mu: 0.0)
+        with pytest.raises(solver.NoConvergence, match="f_uu = 0"):
+            asy._colliding_root(nl, 1.0)
+
+    def test_no_convergence_is_a_solver_error(self, monkeypatch):
+        # f_u(u) = 1 + u^2 has no real root: Newton wanders
+        nl = model.polynomial([[1.0, 1.0, 0.0, 1.0 / 3.0]])
+        monkeypatch.setattr(nl, "u_plus", lambda mu: 0.7)
+        with pytest.raises(solver.NoConvergence, match="no convergence"):
+            asy._colliding_root(nl, 1.0)
 
 
 class TestReducedSystems:

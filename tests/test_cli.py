@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -104,6 +107,19 @@ class TestSnake:
         assert rc == 1
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_colliding_root_failure_is_a_numerical_failure(
+            self, tmp_path, capsys, monkeypatch):
+        # the fold-ending scale's Newton on f_u cannot step when f_uu = 0
+        flat = model.cubic_quintic()
+        flat.f_uu = lambda u, mu: 0.0
+        monkeypatch.setattr(model, "cubic_quintic", lambda: flat)
+        cfg = write_config(tmp_path, {
+            "grid": {"N_d": 5},
+            "run": {"d": 1e-3, "max_folds": 1, "stability": False}})
+        rc = cli.main(["snake", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 1
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_mu_start_outside_window_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, {"run": {"d": 1e-3, "mu_start": 1.4}})
         rc = cli.main(["snake", "--config", cfg, "--out", str(tmp_path)])
@@ -203,3 +219,48 @@ class TestOtherCommands:
         assert rc == 0
         summary = json.loads((out / "isola_summary.json").read_text())
         assert summary["closed"] is False
+
+
+_STARTUP_SCRIPT = """
+import json, os, sys
+out = sys.argv[1]
+import snaklat.cli as cli
+from snaklat import codim2
+
+def heavy():
+    return sorted(m for m in sys.modules
+                  if m.startswith(("scipy.optimize", "scipy.integrate")))
+
+def run(command, cfg):
+    path = os.path.join(out, command + ".json")
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    assert cli.main([command, "--config", path,
+                     "--out", os.path.join(out, command)]) == 0
+
+report = {"import": heavy()}
+run("snake", {"grid": {"N_d": 6},
+              "run": {"d": 1e-3, "max_folds": 3, "stability": True}})
+report["snake"] = heavy()
+run("cusp", {"grid": {"N_d": 14},
+             "run": {"N_range": [4, 5], "d_bracket": [0.05, 0.1]}})
+# two widths are too few for the geometric fit: run it on four entries
+codim2.fit_geometric([{"N": n, "converged": True, "mu": 0.9 + 0.1 * 0.5**n,
+                       "d": 0.07 - 0.2 * 0.5**n} for n in (4, 5, 6, 7)])
+report["cusp"] = heavy()
+print(json.dumps(report))
+"""
+
+
+class TestStartup:
+    def test_commands_never_load_optimize_or_integrate(self, tmp_path):
+        # a fresh interpreter: pytest's own may already hold the modules
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", _STARTUP_SCRIPT, str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert report == {"import": [], "snake": [], "cusp": []}
