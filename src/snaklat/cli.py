@@ -96,11 +96,13 @@ def _pattern(run, symmetry, n_d):
         pattern = PatternId(int(spec["N"]), int(spec["M"]), variant, symmetry)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"invalid run.pattern: {exc}") from exc
-    if pattern.N > n_d:
-        raise ConfigError(
-            f"pattern exceeds domain: N={pattern.N} > N_d={n_d}"
-        )
+    _check_width(pattern.N, n_d)
     return pattern
+
+
+def _check_width(N, n_d):
+    if N > n_d:
+        raise ConfigError(f"pattern exceeds domain: N={N} > N_d={n_d}")
 
 
 def _write_manifest(out_dir, cfg, seed, t0, outputs, bordered_solves):
@@ -176,6 +178,7 @@ def cmd_asym(cfg, out_dir, seed):
     d = float(run.get("d", 1e-3))
     N = int(run.get("N", 3))
     M = int(run.get("M", 1))
+    _check_width(N, n_d)
     fold = studies.find_right_fold(nl, N, M, d, symmetry=symmetry, n_d=n_d)
     lo, hi = nl.window
     results = studies.asymmetric_fan(
@@ -212,6 +215,7 @@ def cmd_isola(cfg, out_dir, seed):
     run = cfg.get("run", {})
     d = float(run.get("d", 0.12))
     N = int(run.get("N", 4))
+    _check_width(N, n_d)
     branch = studies.trace_pattern_isola(
         nl, N, d, n_d=n_d, symmetry=symmetry,
         mu_start=run.get("mu_start"),
@@ -229,11 +233,15 @@ def cmd_cusp(cfg, out_dir, seed):
     nl = _nonlinearity(cfg)
     n_d, symmetry = _grid_args(cfg)
     run = cfg.get("run", {})
-    n_range = run.get("N_range", [4, 5, 6, 7])
+    n_range = [int(n) for n in run.get("N_range", [4, 5, 6, 7])]
     bracket = tuple(run.get("d_bracket", (0.04, 0.12)))
-    points, fit = codim2.cusp_sequence(
-        [int(n) for n in n_range], nl, n_d=n_d, symmetry=symmetry,
-        d_bracket=bracket)
+    for N in n_range:
+        if not 4 <= N <= 16:
+            raise ConfigError(f"cusp pattern width N={N} outside [4, 16]")
+        # every crossing also hunts the next-wider pattern
+        _check_width(N + 1, n_d)
+    points, fit = codim2.cusp_sequence(n_range, nl, n_d=n_d,
+                                       symmetry=symmetry, d_bracket=bracket)
     path = os.path.join(out_dir, "cusps.csv")
     with open(path, "w") as fh:
         fh.write("N,mu_N,d_N,nullity_check,converged\n")

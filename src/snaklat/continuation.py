@@ -39,27 +39,40 @@ END = "end"
 FOLD = "fold"
 
 
+# step-length adaptation: grow by GROW after at most FAST_ITERS corrector
+# steps, halve after SLOW_ITERS or more
+GROW = 1.3
+FAST_ITERS = 3
+SLOW_ITERS = 7
+CORRECTOR_TOL = 1e-10
+MAX_CORRECTOR_ITERS = 10
+# a closed loop returns to its start with the tangent aligned to this, after
+# at least CLOSURE_MIN_POINTS points
+CLOSURE_ALIGN = 0.99
+CLOSURE_MIN_POINTS = 12
+# corrector acceptance: reject points that strayed from the predictor (by
+# more than this times h) or reversed direction (tangent alignment below
+# this); both signal a jump onto a different branch
+MAX_PREDICTOR_DISTANCE = 0.5
+MIN_TANGENT_ALIGN = -0.2
+# fold refinement: Newton on the fold system stops at |F| <= FOLD_TOL_RES
+# and |J phi| <= FOLD_TOL_NULL |phi|, backtracking steps to 2**-FOLD_HALVINGS
+FOLD_TOL_RES = 1e-10
+FOLD_TOL_NULL = 1e-8
+FOLD_MAX_ITERS = 40
+FOLD_HALVINGS = 6
+
+
 @dataclass
 class StepConfig:
     h_init: float = 1e-3
     h_min: float = 1e-7
     h_max: float = 0.05
     max_points: int = 2000
-    grow: float = 1.3
-    fast_iters: int = 3
-    slow_iters: int = 7
-    corrector_tol: float = 1e-10
-    max_corrector_iters: int = 10
     detect_closure: bool = False
-    closure_align: float = 0.99
-    closure_min_points: int = 12
     stop_after_folds: int | None = None
     points_after_fold: int = 6
     stop_condition: object | None = None  # callable BranchPoint -> bool
-    # corrector acceptance: reject points that strayed from the predictor or
-    # reversed direction (both signal a jump onto a different branch)
-    max_predictor_distance: float = 0.5   # relative to h
-    min_tangent_align: float = -0.2
     # (p_lo, p_hi, h_cap) triples: inside these parameter bands the step is
     # capped, resolving fold structures whose scale is known in advance
     refine_bands: tuple = ()
@@ -116,7 +129,8 @@ def _pair(parameter, p, fixed):
 
 def _make_point(values, grid, mu, d, tangent=None):
     u = Field(grid, values.copy())
-    return BranchPoint(u=u, mu=mu, d=d, norm=state_norm(u), tangent=tangent)
+    return BranchPoint(u=u, mu=float(mu), d=float(d), norm=state_norm(u),
+                       tangent=tangent)
 
 
 def _pinned_newton(x0, anchor, border, offset, grid, nonlinearity,
@@ -173,9 +187,9 @@ def continue_branch(u0, nonlinearity, mu, d, parameter="mu",
 
     vals0 = np.asarray(u0.values, dtype=float)
     res0 = solver.residual_values(vals0, grid, nonlinearity, mu, d)
-    if np.max(np.abs(res0)) > cfg.corrector_tol:
+    if np.max(np.abs(res0)) > CORRECTOR_TOL:
         start_field, _ = solver.newton_solve(u0, nonlinearity, mu, d,
-                                             tol=cfg.corrector_tol)
+                                             tol=CORRECTOR_TOL)
         vals0 = start_field.values
 
     # first tangent from a small natural-parameter step
@@ -185,7 +199,7 @@ def continue_branch(u0, nonlinearity, mu, d, parameter="mu",
         mu_t, d_t = _pair(parameter, p0 + dp, fixed)
         try:
             nat, _ = solver.newton_solve(Field(grid, vals0), nonlinearity,
-                                         mu_t, d_t, tol=cfg.corrector_tol)
+                                         mu_t, d_t, tol=CORRECTOR_TOL)
             break
         except solver.SolverError:
             dp *= 0.5
@@ -216,7 +230,7 @@ def continue_branch(u0, nonlinearity, mu, d, parameter="mu",
             # predicted point orthogonal to the tangent in the metric
             x_new, iters = _pinned_newton(
                 predicted, predicted, metric * t, 0.0, grid, nonlinearity,
-                parameter, fixed, cfg.corrector_tol, cfg.max_corrector_iters)
+                parameter, fixed, CORRECTOR_TOL, MAX_CORRECTOR_ITERS)
         except solver.SolverError:
             h = 0.5 * h_eff
             if h < cfg.h_min:
@@ -230,8 +244,8 @@ def continue_branch(u0, nonlinearity, mu, d, parameter="mu",
             branch.events.append((len(branch.points) - 1, END))
             return branch
         strayed = (norm(x_new - predicted)
-                   > cfg.max_predictor_distance * h_eff + 10 * cfg.h_min)
-        reversed_ = (secant / step_len) @ (metric * t) < cfg.min_tangent_align
+                   > MAX_PREDICTOR_DISTANCE * h_eff + 10 * cfg.h_min)
+        reversed_ = (secant / step_len) @ (metric * t) < MIN_TANGENT_ALIGN
         if strayed or reversed_:
             h = 0.5 * h_eff
             if h < cfg.h_min:
@@ -250,16 +264,16 @@ def continue_branch(u0, nonlinearity, mu, d, parameter="mu",
             folds_seen += 1
             last_fold_index = idx
 
-        if iters <= cfg.fast_iters:
-            h = min(h * cfg.grow, cfg.h_max)
-        elif iters >= cfg.slow_iters:
+        if iters <= FAST_ITERS:
+            h = min(h * GROW, cfg.h_max)
+        elif iters >= SLOW_ITERS:
             h = max(0.5 * h_eff, cfg.h_min)
 
         x, t = x_new, t_new
 
-        if cfg.detect_closure and idx >= cfg.closure_min_points:
+        if cfg.detect_closure and idx >= CLOSURE_MIN_POINTS:
             if (norm(x_new - x0) <= 2 * max(h, step_len)
-                    and t_new @ (metric * t0) > cfg.closure_align):
+                    and t_new @ (metric * t0) > CLOSURE_ALIGN):
                 branch.closed = True
                 first = branch.points[0]
                 branch.points.append(_make_point(first.u.values, grid,
@@ -288,19 +302,35 @@ def continue_branch(u0, nonlinearity, mu, d, parameter="mu",
 # fold refinement
 
 
-def fold_newton(vals, phi, p, fixed, c, grid, nonlinearity, parameter="mu",
-                tol_res=1e-10, tol_null=1e-8, max_iter=40, halvings=6,
-                p_range=(-np.inf, np.inf)):
-    """Newton on the fold system {F = 0, J phi = 0, <c, phi> = 1}.
+def refine_fold(point_a, point_b, nonlinearity, parameter="mu", *, margin):
+    """Newton on the fold system {F = 0, J phi = 0, <c, phi> = 1} between two
+    bracketing points.
 
-    Unknowns are (u, phi, p) at the other parameter ``fixed``; the iteration
-    stops when |F| <= tol_res and |J phi| <= tol_null |phi|, or as soon as p
-    leaves ``p_range`` (the caller checks which).  Each step is
-    :func:`solver.fold_step`, four checked banded bordered solves.  Returns
-    (u, phi, p) or raises :class:`NoConvergence` carrying the last iterate.
+    Unknowns are (u, phi, p) at the other parameter fixed; the initial null
+    vector comes from the branch tangent and is also c.  Each step is
+    :func:`solver.fold_step`, four checked banded bordered solves, and is
+    backtracked (lengths 1 ... 2^-FOLD_HALVINGS), which keeps the
+    ill-conditioned degenerate folds in check.  ``margin`` bounds how far
+    beyond the bracket parameter values the refined fold may sit (the fold
+    lies up to one arclength step past them); the iteration stops as soon
+    as p leaves that range.  Returns a refined :class:`FoldPoint` or raises
+    :class:`RefinementFailed`.
     """
+    grid = point_a.u.grid
     n = grid.size
     lap = lattice.laplacian_matrix(grid)
+    seed = point_b if abs(point_b.tangent[-1]) < abs(point_a.tangent[-1]) \
+        else point_a
+    p, fixed = _pair(parameter, seed.mu, seed.d)
+    c = seed.tangent[:-1].copy()
+    norm_c = np.linalg.norm(c)
+    if norm_c < 1e-12:
+        raise RefinementFailed("degenerate tangent at fold candidate")
+    c /= norm_c
+
+    pa = point_a.parameter_value(parameter)
+    pb = point_b.parameter_value(parameter)
+    p_lo, p_hi = min(pa, pb) - margin, max(pa, pb) + margin
 
     def residual(x):
         mu, d = _pair(parameter, x[-1], fixed)
@@ -316,54 +346,23 @@ def fold_newton(vals, phi, p, fixed, c, grid, nonlinearity, parameter="mu",
                                 mu, d, parameter, -F)
 
     def done(x, F):
-        return (not p_range[0] <= x[-1] <= p_range[1]
-                or (np.max(np.abs(F[:n])) <= tol_res
+        return (not p_lo <= x[-1] <= p_hi
+                or (np.max(np.abs(F[:n])) <= FOLD_TOL_RES
                     and np.max(np.abs(F[n:2 * n]))
-                    <= tol_null * np.linalg.norm(x[n:2 * n])))
+                    <= FOLD_TOL_NULL * np.linalg.norm(x[n:2 * n])))
 
-    x, _, _ = solver.newton(residual, step, np.concatenate([vals, phi, [p]]),
-                            done, max_iter, halvings)
-    return x[:n], x[n:2 * n], x[-1]
-
-
-def refine_fold(point_a, point_b, nonlinearity, parameter="mu",
-                tol_res=1e-10, tol_null=1e-8, max_iters=40, margin=None):
-    """Newton on the augmented fold system between two bracketing points.
-
-    Unknowns are (u, phi, p) at the other parameter fixed; the initial null
-    vector comes from the branch tangent.  Steps are backtracked (lengths
-    1 ... 2^-6), which keeps the ill-conditioned degenerate folds in check.
-    ``margin`` bounds how far beyond the bracket parameter values the
-    refined fold may sit (the fold lies up to one arclength step past them).
-    Returns a refined :class:`FoldPoint` or raises :class:`RefinementFailed`.
-    """
-    grid = point_a.u.grid
-    seed = point_b if abs(point_b.tangent[-1]) < abs(point_a.tangent[-1]) \
-        else point_a
-    p, fixed = _pair(parameter, seed.mu, seed.d)
-    phi = seed.tangent[:-1].copy()
-    nphi = np.linalg.norm(phi)
-    if nphi < 1e-12:
-        raise RefinementFailed("degenerate tangent at fold candidate")
-    phi /= nphi
-
-    pa = point_a.parameter_value(parameter)
-    pb = point_b.parameter_value(parameter)
-    if margin is None:
-        margin = 2.0 * (np.linalg.norm(point_b.u.values - point_a.u.values)
-                        + abs(pb - pa)) + 1e-8
-    p_lo, p_hi = min(pa, pb) - margin, max(pa, pb) + margin
     try:
-        vals, phi, p = fold_newton(
-            seed.u.values, phi, p, fixed, phi, grid, nonlinearity, parameter,
-            tol_res=tol_res, tol_null=tol_null, max_iter=max_iters,
-            halvings=6, p_range=(p_lo, p_hi))
+        x, _, _ = solver.newton(residual, step,
+                                np.concatenate([seed.u.values, c, [p]]),
+                                done, FOLD_MAX_ITERS, FOLD_HALVINGS)
     except NoConvergence as exc:
         raise RefinementFailed(f"fold refinement failed: {exc}") from exc
+    p = x[-1]
     if not p_lo <= p <= p_hi:
         raise RefinementFailed(f"fold refinement left the bracket: p={p}")
     mu, d = _pair(parameter, p, fixed)
-    return FoldPoint(u=Field(grid, vals), mu=mu, d=d,
+    phi = x[n:2 * n]
+    return FoldPoint(u=Field(grid, x[:n]), mu=float(mu), d=float(d),
                      phi=Field(grid, phi / np.linalg.norm(phi)),
                      parameter=parameter)
 

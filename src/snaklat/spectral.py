@@ -41,6 +41,10 @@ ISOTYPIC_TAGS = ("trivial", "sign1", "sign2", "sign3", "two_dim")
 # larger matrices use shift-invert Lanczos
 DENSE_EIG_MAX = 900
 
+# largest max|U| / max|A| that ldl_inertia trusts; the Jacobians of the
+# lattice problem stay below 10
+LDL_GROWTH_MAX = 1e6
+
 _DIMS = {"trivial": 1, "sign1": 1, "sign2": 1, "sign3": 1, "two_dim": 2}
 
 
@@ -55,12 +59,17 @@ def ldl_inertia(matrix, pivot_tol=None):
     ordering and diagonal pivots only, so U = D L^T and, by Sylvester's law,
     the signs of diag(U) are the eigenvalue signs.  Raises
     :class:`FactorizationFailure` when SuperLU left the diagonal (row and
-    column permutations differ) or a pivot is not larger than ``pivot_tol``
-    (default 1e-14 times the largest entry, and at least 1e-14).
+    column permutations differ), a pivot is not larger than ``pivot_tol``
+    (default 1e-14 times the largest entry, and at least 1e-14), or the
+    factor grew past ``LDL_GROWTH_MAX`` times the largest entry of the
+    matrix: without pivoting a tiny pivot that clears ``pivot_tol`` can
+    still swamp its Schur complement, and the pivot signs then count a
+    different matrix.
     """
     csc = sp.csc_matrix(matrix)
+    scale = np.max(np.abs(csc.data), initial=0.0)
     if pivot_tol is None:
-        pivot_tol = 1e-14 * np.max(np.abs(csc.data), initial=1.0)
+        pivot_tol = 1e-14 * max(scale, 1.0)
     try:
         lu = spla.splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
@@ -72,6 +81,9 @@ def ldl_inertia(matrix, pivot_tol=None):
     smallest = np.min(np.abs(pivots))
     if not smallest > pivot_tol:  # a NaN pivot fails too
         raise FactorizationFailure(f"pivot breakdown: {smallest:.3e}")
+    growth = np.max(np.abs(lu.U.data)) / scale
+    if not growth <= LDL_GROWTH_MAX:
+        raise FactorizationFailure(f"element growth: {growth:.3e}")
     n_pos = int(np.sum(pivots > 0))
     return n_pos, pivots.size - n_pos
 

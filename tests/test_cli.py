@@ -43,6 +43,22 @@ class TestConfigValidation:
         assert rc == 2
         assert "pattern exceeds domain" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, run, message", [
+        ("asym", {"N": 4}, "pattern exceeds domain"),
+        ("isola", {"N": 4}, "pattern exceeds domain"),
+        # each crossing also hunts the next-wider pattern
+        ("cusp", {"N_range": [3]}, "outside [4, 16]"),
+        ("cusp", {"N_range": [4, 17]}, "outside [4, 16]"),
+        ("cusp", {"N_range": [4, 5]}, "pattern exceeds domain: N=6"),
+    ])
+    def test_width_exceeding_domain_is_config_error(self, tmp_path, capsys,
+                                                    command, run, message):
+        n_d = 3 if command != "cusp" else 5
+        cfg = write_config(tmp_path, {"grid": {"N_d": n_d}, "run": run})
+        rc = cli.main([command, "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
 
 class TestSolve:
     def test_decoupled_solve_matches_pattern_exactly(self, tmp_path):

@@ -6,7 +6,7 @@ import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from snaklat import codim2, lattice, model, solver, studies
+from snaklat import codim2, lattice, model, solver, spectral, studies
 from snaklat.lattice import OFFSITE, ONSITE, Field
 
 NL = model.cubic_quintic()
@@ -27,12 +27,11 @@ class TestCharacterLaplacian:
         evs = list(np.linalg.eigvalsh(lattice.symmetric_form(
             jw, lattice.orbit_weights(g)).toarray()))
         for rep in codim2.SIGN_REPS:
-            jc, act = codim2.component_jacobian(uw.values, g, NL, mu, d, rep)
+            comp, act = codim2.component(g, rep)
             if len(act):
-                w = lattice.orbit_weights(lattice.GridSpec(4, symmetry,
-                                                           rep=rep))
-                evs.extend(np.linalg.eigvalsh(
-                    lattice.symmetric_form(jc, w).toarray()))
+                jc = solver.jacobian_matrix(uw.values[act], comp, NL, mu, d)
+                evs.extend(np.linalg.eigvalsh(lattice.symmetric_form(
+                    jc, lattice.orbit_weights(comp)).toarray()))
         remaining = list(ev_full)
         for lam in sorted(evs):
             k = int(np.argmin(np.abs(np.array(remaining) - lam)))
@@ -53,7 +52,6 @@ class TestCharacterLaplacian:
         assert len(act3) == g.size
 
     def test_unfolded_component_lies_in_rep(self):
-        from snaklat import spectral
         g = lattice.wedge(4, OFFSITE)
         rng = np.random.default_rng(32)
         for rep in codim2.SIGN_REPS:
@@ -66,35 +64,47 @@ class TestCharacterLaplacian:
             assert others < 1e-12
 
 
-class TestFindCusp:
-    def test_plain_fold_rejected(self):
-        # generic folds have a one-dimensional null space: the extended
-        # system must not report a cusp there
-        d = 0.01
-        fold = studies.find_right_fold(NL, 3, 1, d, n_d=8)
-        with pytest.raises((codim2.WrongNullity, codim2.NoConvergence)):
-            codim2.find_cusp(fold.u, fold.mu, fold.d, NL, "sign1",
-                             phi1=fold.phi.values, max_param_move=0.02)
+def component_eigs(fold, rep, k):
+    """The k eigenvalues of the rep-component Jacobian at a fold nearest
+    zero, nearest first."""
+    comp, act = codim2.component(fold.u.grid, rep)
+    jac = solver.jacobian_matrix(fold.u.values[act], comp, NL, fold.mu,
+                                 fold.d)
+    vals, _ = spectral.eigenpairs_near_zero(
+        lattice.symmetric_form(jac, lattice.orbit_weights(comp)), k)
+    return vals
+
+
+class TestComponentNullities:
+    def test_plain_fold_has_no_sign_null_direction(self):
+        # a generic fold's null space is one-dimensional and symmetric
+        fold = studies.find_right_fold(NL, 3, 1, 0.01, n_d=8)
+        assert codim2.component_nullities(fold.u, NL, fold.mu, fold.d,
+                                          "sign1") == (1, 0)
 
     @pytest.mark.slow
-    def test_collision_point_n4(self):
-        d_star, mu_star, fold = codim2.fold_curve_crossing(NL, 4, n_d=16)
+    def test_crossing_fold_n4(self, monkeypatch):
+        crossings = []
+        real = codim2.fold_curve_crossing
+
+        def spy(*args, **kwargs):
+            crossings.append(real(*args, **kwargs))
+            return crossings[-1]
+
+        monkeypatch.setattr(codim2, "fold_curve_crossing", spy)
+        (entry,), _ = codim2.cusp_sequence([4], NL, n_d=16)
+        d_star, mu_star, fold = crossings[0]
         assert 0.06 < d_star < 0.09
         assert 0.86 < mu_star < 0.91
-        rep = min(codim2.SIGN_REPS,
-                  key=lambda r: abs(codim2.smallest_component_eig(
-                      fold.u.values, fold.u.grid, NL, fold.mu, fold.d,
-                      r)[0]))
-        cusp = codim2.find_cusp(fold.u, fold.mu, fold.d, NL, rep,
-                                phi1=fold.phi.values, stall_accept=1e-3,
-                                max_param_move=0.05)
-        # null vectors orthonormal across components, residuals recorded
-        assert abs(np.linalg.norm(cusp.phi1.values) - 1) < 1e-10
-        assert abs(np.linalg.norm(cusp.phi2.values) - 1) < 1e-10
-        assert abs(cusp.phi1.values @ cusp.phi2.values) < 1e-8
-        assert solver.residual(cusp.u, NL, cusp.mu, cusp.d).norm_inf() < 1e-9
-        assert cusp.null_residuals[0] < 1e-7
-        assert cusp.null_residuals[1] < 1e-4  # avoided-crossing floor
+        assert entry["nullity_check"]
+        assert codim2.component_nullities(fold.u, NL, fold.mu, fold.d,
+                                          entry["rep"]) == (1, 1)
+        # the null eigenvalue and the next one in each component sit more
+        # than ten times from the tolerance on either side
+        assert entry["null_floor"] < codim2.NULLITY_TOL / 10
+        for rep in ("trivial", entry["rep"]):
+            second = component_eigs(fold, rep, 2)[1]
+            assert abs(second) > 10 * codim2.NULLITY_TOL
 
 
 def same_fold(a, b):
@@ -135,7 +145,7 @@ class TestFoldHuntTable:
         monkeypatch.setattr(studies, "find_right_fold", spy)
         points, _ = codim2.cusp_sequence([4, 5], NL, n_d=14,
                                          d_bracket=self.BRACKET)
-        assert all(e["converged"] for e in points)
+        assert all(e["converged"] and e["nullity_check"] for e in points)
         assert {N for N, _, _ in hunted} == {4, 5, 6}
         assert len(hunted) == len(set(hunted))
 
@@ -171,6 +181,17 @@ class TestGeometricFit:
         assert fit["mu_inf"] == pytest.approx(0.887, abs=1e-6)
         assert fit["d_inf"] == pytest.approx(0.068, abs=1e-6)
         assert fit["n_points"] == 6
+
+    @settings(max_examples=60, deadline=None)
+    @given(rho=st.floats(0.05, 0.9), n_max=st.integers(7, 12),
+           amps=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+    @example(rho=0.2, n_max=9, amps=(0.2, -0.5))
+    def test_exact_sequence_keeps_every_entry(self, rho, n_max, amps):
+        # residuals at rounding level must not trip the trim
+        pts = [{"N": n, "converged": True,
+                "mu": 0.887 + amps[0] * rho**n,
+                "d": 0.068 + amps[1] * rho**n} for n in range(4, n_max + 1)]
+        assert codim2.fit_geometric(pts)["n_points"] == len(pts)
 
     def test_too_few_points(self):
         fit = codim2.fit_geometric([{"N": 4, "converged": True,
