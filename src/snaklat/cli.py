@@ -33,7 +33,7 @@ _KNOWN_KEYS = {
     "": {"model", "grid", "run", "output", "seed"},
     "model": {"family", "coefficients"},
     "grid": {"N_d", "symmetry"},
-    "output": {"directory", "formats"},
+    "output": {"directory"},
 }
 
 _RUN_KEYS = {
@@ -336,7 +336,7 @@ def main(argv=None):
                     "lattice")
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="study config JSON")
-    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--out", help="output directory")
     parser.add_argument("--seed", type=int, default=None,
                         help="overrides config seed")
     args = parser.parse_args(argv)

@@ -17,34 +17,16 @@ import numpy as np
 
 from . import lattice, solver, spectral, studies
 
-SIGN_REPS = ("sign1", "sign2", "sign3")
-
 # eigenvalues of a component Jacobian within this of zero count as null
 NULLITY_TOL = 1e-4
 
 NoConvergence = solver.NoConvergence
 
 
-def component(grid, rep):
-    """The ``rep`` component of a wedge grid, (D4, rep), and the wedge
-    index of each of its sites."""
-    comp = replace(grid, rep=rep)
-    return comp, np.searchsorted(lattice.site_indices(grid),
-                                 lattice.site_indices(comp))
-
-
-def _component_form(values, grid, nonlinearity, mu, d, rep):
-    """Symmetric form of the Jacobian restricted to the component of a
-    one-dimensional representation (``trivial`` gives the wedge)."""
-    comp, act = component(grid, rep)
-    jac = solver.jacobian_matrix(values[act], comp, nonlinearity, mu, d)
-    return lattice.symmetric_form(jac, lattice.orbit_weights(comp))
-
-
-def smallest_component_eig(values, grid, nonlinearity, mu, d, rep):
+def smallest_component_eig(u, nonlinearity, mu, d, rep):
     """Eigenvalue of the rep-component Jacobian nearest zero."""
-    vals, _ = spectral.eigenpairs_near_zero(
-        _component_form(values, grid, nonlinearity, mu, d, rep))
+    vals, _ = spectral.eigenpairs_near_zero(spectral.symmetric_block(
+        u, nonlinearity, mu, d, replace(u.grid, rep=rep)))
     return float(vals[0])
 
 
@@ -52,13 +34,12 @@ def component_nullities(u_wedge, nonlinearity, mu, d, rep):
     """Counts of the eigenvalues within NULLITY_TOL of zero of the
     trivial- and rep-component Jacobians (inertia of the shifted symmetric
     forms)."""
-    counts = []
-    for r in ("trivial", rep):
-        sym = _component_form(u_wedge.values, u_wedge.grid, nonlinearity,
-                              mu, d, r)
-        counts.append(spectral.eigencount_above(sym, -NULLITY_TOL)
-                      - spectral.eigencount_above(sym, NULLITY_TOL))
-    return tuple(counts)
+    blocks = (spectral.symmetric_block(u_wedge, nonlinearity, mu, d,
+                                       replace(u_wedge.grid, rep=r))
+              for r in ("trivial", rep))
+    return tuple(spectral.eigencount_above(sym, -NULLITY_TOL)
+                 - spectral.eigencount_above(sym, NULLITY_TOL)
+                 for sym in blocks)
 
 
 def fold_curve_crossing(nonlinearity, N, n_d, symmetry=lattice.OFFSITE,
@@ -150,9 +131,9 @@ def cusp_sequence(n_range, nonlinearity, n_d=25, symmetry=lattice.OFFSITE,
                 folds=folds)
             entry.update({"mu": mu_star, "d": d_star, "converged": True})
             eigs = {r: abs(smallest_component_eig(
-                fold.u.values, fold.u.grid, nonlinearity, fold.mu, fold.d, r))
-                for r in SIGN_REPS}
-            rep = min(SIGN_REPS, key=eigs.get)
+                fold.u, nonlinearity, fold.mu, fold.d, r))
+                for r in lattice.SIGN_REPS}
+            rep = min(lattice.SIGN_REPS, key=eigs.get)
             entry.update({"rep": rep, "null_floor": eigs[rep],
                           "nullity_check": component_nullities(
                               fold.u, nonlinearity, fold.mu, fold.d,

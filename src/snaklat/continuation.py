@@ -410,8 +410,8 @@ def asymmetry(u):
     """Distance of a field, unfolded to the full square, from its D4
     average."""
     full = lattice.unfold(u)
-    return float(np.linalg.norm(
-        full.values - lattice.symmetrize(full.values, full.grid)))
+    return float(np.linalg.norm(full.values - spectral.isotypic_projection(
+        full.values, full.grid, "trivial")))
 
 
 def switch_branch(fold, psi, nonlinearity, eps=None, max_retries=4,

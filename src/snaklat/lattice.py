@@ -1,7 +1,8 @@
 """Computational domains, D4 symmetry actions, and the discrete Laplacian.
 
 Every grid is the orbit space of a subgroup Sigma of D4 acting on a
-full-square window, twisted by a one-dimensional D4 character chi.  The
+full-square window, twisted by a character chi of Sigma (a homomorphism to
+{1, -1}).  The
 window is [1-N_d, N_d]^2 for off-site fields, symmetric about the plaquette
 center (1/2, 1/2), and [2-N_d, N_d]^2 for on-site fields, symmetric about
 the lattice site (1, 1).  A field on the grid stands for the full-square
@@ -14,7 +15,10 @@ its weights are the orbit sizes.  The special cases are
   on which patterns are computed: (D4, trivial);
 * the full square, for stability analysis and asymmetric states:
   ({e}, trivial);
-* the sign components of the cusp finder: (D4, sign_k);
+* the sign components of the cusp finder and the fan: (D4, sign_k);
+* the planes of the two-dimensional representation fixed by the mirror mh
+  or md, for the fan's other directions: ({e, r180, mv, mh}, chi = -1 on
+  r180 and mv) and ({e, r180, md, ma}, chi = -1 on r180 and ma);
 * the fixed-point subspace Fix(Sigma) of an asymmetric branch:
   (Sigma, trivial).
 
@@ -68,6 +72,13 @@ CHARACTERS = {
     "two_dim": (2, 0, -2, 0, 0, 0, 0, 0),
 }
 
+SIGN_REPS = ("sign1", "sign2", "sign3")
+
+# the planes of the two-dimensional representation fixed by a mirror, as
+# (Sigma, chi): chi is -1 on r180 and on the other mirror in Sigma
+MIRROR_PLANES = {"md": (("e", "r180", "md", "ma"), (1, -1, 1, -1)),
+                 "mh": (("e", "r180", "mv", "mh"), (1, -1, -1, 1))}
+
 
 def _group(symmetry):
     """The eight affine maps of the D4 action for the given symmetry class."""
@@ -108,38 +119,56 @@ def orbit_size(site, symmetry):
     return len(orbit(site, symmetry))
 
 
+def _product(g, h):
+    """Name of the D4 element g h (h acts first)."""
+    a, b = (np.reshape(_LINEAR_PARTS[_ELEMENT_NAMES.index(x)], (2, 2))
+            for x in (g, h))
+    return _ELEMENT_NAMES[_LINEAR_PARTS.index(tuple((a @ b).ravel()))]
+
+
 @lru_cache(maxsize=None)
-def _is_subgroup(names):
-    linear = {_LINEAR_PARTS[_ELEMENT_NAMES.index(g)] for g in names}
-    return bool(linear) and all(
-        (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
-         a21 * b11 + a22 * b21, a21 * b12 + a22 * b22) in linear
-        for a11, a12, a21, a22 in linear for b11, b12, b21, b22 in linear)
+def _subgroup_character(group, rep):
+    """(Sigma, chi) in D4 element order, chi as signs, from element names
+    and one sign per element or the name of a D4 character; checks that
+    Sigma is a subgroup and chi a homomorphism to {1, -1}."""
+    names = set(group)
+    if (not names or len(names) != len(group) or not names <= set(D4)
+            or any(_product(g, h) not in names for g in names for h in names)):
+        raise ValueError(f"not a subgroup of D4: {group!r}")
+    signs = (tuple(dict(zip(D4, CHARACTERS.get(rep, ()))).get(g)
+                   for g in group) if isinstance(rep, str) else rep)
+    chi = dict(zip(group, signs))
+    if (len(signs) != len(group) or chi["e"] != 1
+            or any(chi[_product(g, h)] != chi[g] * chi[h]
+                   for g in chi for h in chi)):
+        raise ValueError(f"not a character of {group}: {rep!r}")
+    names = tuple(g for g in D4 if g in chi)
+    return names, tuple(int(chi[g]) for g in names)
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """Orbit space of the subgroup ``group`` of D4 (element names) on the
-    full-square window of ``half_width``, twisted by the one-dimensional
-    character ``rep``; ``symmetry`` is the center of the D4 action.  Sites
-    have flat ascending (n, then m) order."""
+    full-square window of ``half_width``, twisted by the character ``rep``
+    of ``group``: one sign per element, stored in D4 element order, or the
+    name of a one-dimensional D4 character for its restriction.
+    ``symmetry`` is the center of the D4 action.  Sites have flat ascending
+    (n, then m) order."""
 
     half_width: int
     symmetry: str
     group: tuple = D4
-    rep: str = "trivial"
+    rep: tuple | str = "trivial"
 
     def __post_init__(self):
         if self.half_width < 1:
             raise ValueError("half_width must be positive")
         if self.symmetry not in (OFFSITE, ONSITE):
             raise ValueError(f"unknown symmetry class: {self.symmetry!r}")
-        if self.rep not in CHARACTERS or CHARACTERS[self.rep][0] != 1:
-            raise ValueError(f"not a one-dimensional character: {self.rep!r}")
-        group = tuple(g for g in _ELEMENT_NAMES if g in self.group)
-        if len(group) != len(set(self.group)) or not _is_subgroup(group):
-            raise ValueError(f"not a subgroup of D4: {self.group!r}")
+        rep = self.rep if isinstance(self.rep, str) else tuple(self.rep)
+        group, rep = _subgroup_character(tuple(self.group), rep)
         object.__setattr__(self, "group", group)
+        object.__setattr__(self, "rep", rep)
 
     @property
     def size(self):
@@ -236,7 +265,7 @@ def _orbit_space(grid):
     elems = [_ELEMENT_NAMES.index(g) for g in grid.group]
     # g^-1 runs over Sigma as g does, and chi(g^-1) = chi(g)
     images = np.array([perms[k] for k in elems])
-    chi = np.array([CHARACTERS[grid.rep][k] for k in elems])[:, None]
+    chi = np.array(grid.rep)[:, None]
     rep = images.max(axis=0)
     hit = images == rep
     sign = (hit & (chi > 0)).any(axis=0) - 1.0 * (hit & (chi < 0)).any(axis=0)
@@ -284,15 +313,6 @@ def action_permutations(grid):
     """Index permutations realizing the eight group elements on the full
     square of the grid's window: (g.v)(x) = v(g^-1 x) is ``v[perm]``."""
     return _window_permutations(grid.half_width, grid.symmetry)
-
-
-def symmetrize(values, grid):
-    """Group-average a full-square field over the D4 action of its window."""
-    perms = action_permutations(grid)
-    acc = np.zeros_like(values, dtype=float)
-    for p in perms:
-        acc += values[p]
-    return acc / len(perms)
 
 
 def isotropy(field):

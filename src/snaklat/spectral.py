@@ -1,12 +1,15 @@
-"""Stability analysis on the unfolded full-square Neumann domain.
+"""Stability analysis on the unfolded full-square Neumann domain and on
+its symmetry blocks.
 
 Unstable-eigenvalue counts come from the inertia of the symmetric Jacobian,
 computed with a fill-reducing sparse LDL^T factorization (no eigensolve
 needed) that falls back to LAPACK's pivoted dense LDL^T when its pivots do
 not check out; dense eigendecompositions are kept as a cross-validation
 oracle for small grids.
-Near-zero eigenpairs are extracted by shift-invert iteration and classified
-into D4 isotypic components by character-weighted group averaging.
+The Jacobian of a symmetric state is block diagonal over the D4 isotypic
+components (Dellnitz & Werner, J. Comput. Appl. Math. 26, 1989); each
+block is the Jacobian on an orbit-space grid (:func:`symmetric_block`),
+whose near-zero eigenpairs :func:`eigenpairs_near_zero` reads.
 
 Isotypic tags: ``trivial`` is the symmetric component; ``sign1`` flips under
 every reflection but is rotation-invariant; ``sign2``/``sign3`` flip under
@@ -16,7 +19,7 @@ they preserve; ``two_dim`` is the unique two-dimensional representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -24,7 +27,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import lattice, solver
-from .lattice import Field
 
 
 class FactorizationFailure(solver.SolverError):
@@ -127,8 +129,6 @@ def eigencount_above(matrix, threshold, retries=4):
 class SpectrumReport:
     n_unstable: int
     n_zero: int
-    near_zero: list = field(default_factory=list)  # (eigenvalue, Field) pairs
-    grid: lattice.GridSpec | None = None
     tau: float = 0.0
 
 
@@ -139,34 +139,37 @@ def full_square_jacobian(u_wedge, nonlinearity, mu, d):
     return u_full, jac.tocsr()
 
 
+def symmetric_block(u, nonlinearity, mu, d, grid):
+    """Symmetric form of the Jacobian at the state ``u`` restricted to the
+    orbit-space grid ``grid`` on the same window, whose group must fix
+    ``u``: the block of the full-square Jacobian on the fields of the
+    grid's symmetry type.  Its eigenvectors are fields on the grid times
+    the square roots of the orbit weights."""
+    if not set(grid.group) <= set(lattice.isotropy(u)):
+        raise ValueError(f"the state is not fixed by {grid.group}")
+    v = lattice.fold(lattice.unfold(u), grid)
+    return lattice.symmetric_form(solver.jacobian(v, nonlinearity, mu, d),
+                                  lattice.orbit_weights(grid))
+
+
 def zero_band(u_full, nonlinearity, mu, d, zero_tol):
     """tau = zero_tol * max(1, d * max|f_u|); (-tau, tau) counts as zero."""
     return zero_tol * max(1.0, abs(d) * float(np.max(np.abs(
         nonlinearity.f_u(u_full.values, mu)))))
 
 
-def unstable_count(u_wedge, nonlinearity, mu, d, zero_tol=1e-8,
-                   want_vectors=True):
+def unstable_count(u_wedge, nonlinearity, mu, d, zero_tol=1e-8):
     """Inertia-based stability report on the unfolded Neumann square.
 
     ``n_unstable`` counts eigenvalues above +tau and ``n_zero`` those within
-    (-tau, tau), with tau = zero_tol * max(1, d * max|f_u|).  When near-zero
-    eigenvalues are present (and ``want_vectors``), the corresponding
-    eigenpairs are extracted by shift-invert iteration.
+    (-tau, tau), with tau = zero_tol * max(1, d * max|f_u|).
     """
     u_full, jac = full_square_jacobian(u_wedge, nonlinearity, mu, d)
     tau = zero_band(u_full, nonlinearity, mu, d, zero_tol)
-    n = jac.shape[0]
     n_above = eigencount_above(jac, tau)
-    n_zero = eigencount_above(jac, -tau) - n_above
-    report = SpectrumReport(n_unstable=n_above, n_zero=n_zero,
-                            grid=u_full.grid, tau=tau)
-    if n_zero > 0 and want_vectors:
-        k = min(n_zero + 2, n - 1)
-        for lam, vec in zip(*eigenpairs_near_zero(jac, k)):
-            if abs(lam) < tau:
-                report.near_zero.append((lam, Field(u_full.grid, vec)))
-    return report
+    return SpectrumReport(n_unstable=n_above,
+                          n_zero=eigencount_above(jac, -tau) - n_above,
+                          tau=tau)
 
 
 def eigenpairs_near_zero(sym, k=1):
@@ -239,7 +242,7 @@ def crossing_count_at_fold(branch, fold_index, nonlinearity, window=None,
         if i not in cache:
             pt = pts[i]
             rep = unstable_count(pt.u, nonlinearity, pt.mu, pt.d,
-                                 zero_tol=zero_tol, want_vectors=False)
+                                 zero_tol=zero_tol)
             if rep.n_zero:
                 raise AmbiguousCrossing(
                     f"near-zero eigenvalue at bracket point {i}"
@@ -280,8 +283,7 @@ def vbar_unstable_reference(N, M, symmetry):
 
 
 def isotypic_projection(values, grid, tag):
-    """Projection onto an isotypic component of one full-square field or,
-    row-wise, of an (n, k) array of them."""
+    """Projection of a full-square field onto an isotypic component."""
     perms = lattice.action_permutations(grid)
     chars = lattice.CHARACTERS[tag]
     acc = np.zeros_like(values, dtype=float)
@@ -295,7 +297,8 @@ def isotypic_projections(v):
     """All five character projections of a field, unfolded to the full
     square."""
     v = lattice.unfold(v)
-    return {tag: Field(v.grid, isotypic_projection(v.values, v.grid, tag))
+    return {tag: lattice.Field(v.grid,
+                               isotypic_projection(v.values, v.grid, tag))
             for tag in ISOTYPIC_TAGS}
 
 

@@ -228,69 +228,40 @@ def trace_pattern_isola(nonlinearity, N, d, n_d=16, symmetry=OFFSITE,
 # asymmetric branches
 
 
-def critical_eigenvectors(fold, nonlinearity, k=10):
-    """Near-zero eigenpairs of the full-square Jacobian at a refined fold."""
-    u_full, jac = spectral.full_square_jacobian(fold.u, nonlinearity,
-                                                fold.mu, fold.d)
-    vals, vecs = spectral.eigenpairs_near_zero(jac, k)
-    return vals, [lattice.Field(u_full.grid, v) for v in vecs]
+def _block_directions(fold, nonlinearity, grid, k):
+    """The k eigenvectors nearest zero of the Jacobian block on ``grid`` at
+    a fold, in ascending eigenvalue order, as unit full-square fields whose
+    last large entry (in site order) is positive."""
+    vals, vecs = spectral.eigenpairs_near_zero(spectral.symmetric_block(
+        fold.u, nonlinearity, fold.mu, fold.d, grid), k)
+    out = []
+    for i in np.argsort(vals):
+        psi = lattice.unfold(lattice.Field(
+            grid, vecs[i] / np.sqrt(lattice.orbit_weights(grid))))
+        big = np.flatnonzero(np.abs(psi.values) > 0.5 * psi.norm_inf())
+        psi.values *= (np.sign(psi.values[big[-1]])
+                       / np.linalg.norm(psi.values))
+        out.append(psi)
+    return out
 
 
-def switch_directions(fold, nonlinearity, n_critical=8):
-    """Symmetry-adapted directions spanning the critical eigenspace at a fold.
-
-    Returns a list of (label, Field) pairs: one direction per non-trivial
-    one-dimensional representation present, and mirror-fixed vectors in each
-    of the two planes of the two-dimensional representation.
-    """
-    vals, vecs = critical_eigenvectors(fold, nonlinearity,
-                                       k=n_critical + 4)
-    grid = vecs[0].grid
-    crit_vals = vals[:n_critical]
-    basis = np.column_stack([v.values for v in vecs[:n_critical]])
-
-    directions = []
-    for tag in ("sign1", "sign2", "sign3"):
-        proj = spectral.isotypic_projection(basis, grid, tag)
-        norms = np.linalg.norm(proj, axis=0)
-        j = int(np.argmax(norms))
-        if norms[j] > 1e-6:
-            directions.append((tag, lattice.Field(grid,
-                                                  proj[:, j] / norms[j])))
-
-    # two-dimensional component: split into the two eigenvalue planes and
-    # pick mirror-fixed vectors in each
-    proj_e = spectral.isotypic_projection(basis, grid, "two_dim")
-    keep = [j for j in range(proj_e.shape[1])
-            if np.linalg.norm(proj_e[:, j]) > 1e-6]
-    if keep:
-        cols = proj_e[:, keep]
-        lams = crit_vals[keep]
-        # order the eigenvalues; two nearly-degenerate pairs
-        order = np.argsort(lams)
-        pairs = [order[:2], order[2:4]] if len(order) >= 4 else [order]
-        perms = lattice.action_permutations(grid)
-        mirrors = {"md": perms[6], "mh": perms[5]}
-        for pi, pair in enumerate(pairs):
-            plane = np.column_stack([cols[:, i] for i in pair if i < cols.shape[1]])
-            if plane.shape[1] == 0:
-                continue
-            qp, _ = np.linalg.qr(plane)
-            for mname, perm in mirrors.items():
-                # fixed vector of the mirror within the plane
-                mp = qp[perm, :]
-                a = qp.T @ mp  # 2x2 representation of the mirror
-                w, v = np.linalg.eigh((a + a.T) / 2)
-                idx = int(np.argmax(w))
-                if w[idx] > 0.5:
-                    # the plane's basis follows rounding; fix the sign by
-                    # the last large entry in site order
-                    vec = qp @ v[:, idx]
-                    big = np.flatnonzero(np.abs(vec) > 0.5 * np.abs(vec).max())
-                    vec *= np.sign(vec[big[-1]]) / np.linalg.norm(vec)
-                    directions.append((f"two_dim_p{pi}_{mname}",
-                                       lattice.Field(grid, vec)))
-    return directions
+def switch_directions(fold, nonlinearity):
+    """Symmetry-adapted directions spanning the critical eigenspace at a fold,
+    each an eigenvector nearest zero of the Jacobian block on its own
+    orbit-space grid: one on each sign component (D4, sign_k), two in
+    ascending order on each mirror-fixed plane of the two-dimensional
+    representation.  Returns (label, Field) pairs on the full square:
+    sign1, sign2, sign3, then ``two_dim_p{0,1}_{md,mh}``."""
+    grid = fold.u.grid
+    planes = {name: _block_directions(fold, nonlinearity, lattice.GridSpec(
+        grid.half_width, grid.symmetry, *space), 2)
+        for name, space in lattice.MIRROR_PLANES.items()}
+    return ([(rep, _block_directions(fold, nonlinearity,
+                                     replace(grid, rep=rep), 1)[0])
+             for rep in lattice.SIGN_REPS]
+            + [(f"two_dim_p{p}_{name}", psi)
+               for p, pair in enumerate(zip(*planes.values()))
+               for name, psi in zip(planes, pair)])
 
 
 def _unfolded(pt):
@@ -302,8 +273,32 @@ def _unfolded(pt):
     return replace(pt, u=lattice.unfold(pt.u), tangent=t)
 
 
-def asymmetric_fan(fold, nonlinearity, eps=None, config=None,
-                   reconnect_drop=1e-3, min_asymmetry=1e-3):
+RECONNECT_ARM = 1e-3
+RECONNECT_DROP = 1e-3
+RECONNECT_DIP = 0.05
+
+
+def reconnection(asym, norms):
+    """Index of the point where a branch with asymmetries ``asym`` and
+    norms ``norms`` rejoined the symmetric branch, or None.  Once the
+    asymmetry has exceeded RECONNECT_ARM * max(1, norm), that is the first
+    point below RECONNECT_DROP times its running peak, or the first local
+    minimum below RECONNECT_DIP times it (a step over the V-shaped
+    minimum), seen one point later."""
+    a = np.asarray(asym, dtype=float)
+    peak = np.maximum.accumulate(a)
+    armed = np.logical_or.accumulate(
+        peak > RECONNECT_ARM * np.maximum(1.0, norms))
+    drop = armed & (a < RECONNECT_DROP * peak)
+    # dip[i]: point i - 1 is the minimum
+    dip = np.zeros_like(drop)
+    dip[2:] = (armed[2:] & (a[1:-1] <= a[:-2]) & (a[1:-1] < a[2:])
+               & (a[1:-1] < RECONNECT_DIP * peak[2:]))
+    seen = np.flatnonzero(drop | dip)
+    return int(seen[0] - dip[seen[0]]) if len(seen) else None
+
+
+def asymmetric_fan(fold, nonlinearity, eps=None, config=None):
     """All asymmetric branches bifurcating at a fold (Fig.-7-type study).
 
     Each symmetry-adapted critical direction is stepped off with the
@@ -312,18 +307,18 @@ def asymmetric_fan(fold, nonlinearity, eps=None, config=None,
     isotropy subgroup of its direction, so it is computed on the fixed-point
     subspace of that subgroup, an orbit-space grid.  Reconnection with the
     primary branch is a symmetry-restoring pitchfork, so it is detected as a
-    collapse of the asymmetry measure: the stop fires when the asymmetry has
-    fallen by ``reconnect_drop`` relative to its running peak (after first
-    exceeding ``min_asymmetry``).  Returns a list of (label, seed, branch,
-    reconnect_point), all on the full square, with reconnect_point None
-    when no collapse was seen.
+    collapse of the asymmetry measure (:func:`reconnection`), which ends
+    the branch.  Returns a list of (label, seed, branch, reconnect_point),
+    all on the full square, with reconnect_point None when no collapse was
+    seen.
     """
     lo, hi = nonlinearity.window
     directions = switch_directions(fold, nonlinearity)
     offset = 0.25 * max(abs(hi - fold.mu), 1e-4 * (hi - lo))
     results = []
     for label, psi in directions:
-        grid = replace(fold.u.grid, group=lattice.isotropy(psi))
+        grid = replace(fold.u.grid, group=lattice.isotropy(psi),
+                       rep="trivial")
         try:
             seed = continuation.switch_branch(
                 fold, lattice.fold(psi, grid), nonlinearity, eps=eps,
@@ -331,14 +326,12 @@ def asymmetric_fan(fold, nonlinearity, eps=None, config=None,
         except solver.NoConvergence:
             results.append((label, None, None, None))
             continue
-        state = {"peak": 0.0, "armed": False}
+        asym, norms = [], []
 
-        def stop(pt, state=state):
-            a = continuation.asymmetry(pt.u)
-            state["peak"] = max(state["peak"], a)
-            if state["peak"] > min_asymmetry * max(1.0, pt.norm):
-                state["armed"] = True
-            return state["armed"] and a < reconnect_drop * state["peak"]
+        def stop(pt, asym=asym, norms=norms):
+            asym.append(continuation.asymmetry(pt.u))
+            norms.append(pt.norm)
+            return reconnection(asym, norms) is not None
 
         base = config or StepConfig(max_points=1500)
         cfg = replace(base, stop_condition=stop)
@@ -349,8 +342,8 @@ def asymmetric_fan(fold, nonlinearity, eps=None, config=None,
             p_bounds=(lo - 0.05 * (hi - lo), lo + 1.5 * (hi - lo)))
         branch = replace(branch, points=[_unfolded(pt)
                                          for pt in branch.points])
-        last = branch.points[-1]
-        reconnect = last if (state["armed"] and continuation.asymmetry(last.u)
-                             < reconnect_drop * state["peak"]) else None
+        # the stop condition sees every point after the first
+        i = reconnection(asym, norms)
+        reconnect = None if i is None else branch.points[1 + i]
         results.append((label, _unfolded(seed), branch, reconnect))
     return results

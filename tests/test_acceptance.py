@@ -201,7 +201,7 @@ def test_criterion_06_stability_counts():
     rows = []
     for pattern, expect in cases:
         u = studies.prepared_state(CQ, pattern, 0.5, 1e-3, 20)
-        rep = spectral.unstable_count(u, CQ, 0.5, 1e-3, want_vectors=False)
+        rep = spectral.unstable_count(u, CQ, 0.5, 1e-3)
         ev = spectral.dense_spectrum(u, CQ, 0.5, 1e-3)
         dense_count = int(np.sum(ev > rep.tau))
         orbit = lattice.orbit_size((pattern.N, pattern.M), OFFSITE) \

@@ -142,6 +142,35 @@ class TestSnake:
         assert rc == 2
 
 
+class TestOutputDirectory:
+    def test_config_directory_used_without_out(self, tmp_path):
+        out = tmp_path / "from_config"
+        cfg = write_config(tmp_path, {"output": {"directory": str(out)}})
+        assert cli.main(["reduced", "--config", cfg]) == 0
+        assert (out / "reduced_folds.json").is_file()
+        assert (out / "manifest.json").is_file()
+
+    def test_out_overrides_config_directory(self, tmp_path):
+        cfg = write_config(tmp_path, {"output": {
+            "directory": str(tmp_path / "from_config")}})
+        out = tmp_path / "from_flag"
+        assert cli.main(["reduced", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "reduced_folds.json").is_file()
+        assert not (tmp_path / "from_config").exists()
+
+    def test_working_directory_is_the_default(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, {})
+        assert cli.main(["reduced", "--config", cfg]) == 0
+        assert (tmp_path / "reduced_folds.json").is_file()
+
+    def test_output_formats_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"output": {"formats": ["csv"]}})
+        rc = cli.main(["reduced", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "formats" in capsys.readouterr().err
+
+
 class TestOtherCommands:
     def test_reduced_outputs_all_folds(self, tmp_path):
         out = tmp_path / "out"

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -12,50 +13,79 @@ from snaklat.lattice import OFFSITE, ONSITE, Field
 NL = model.cubic_quintic()
 
 
+def block_spectra(uw, mu, d):
+    """Eigenvalues of the Jacobian blocks at a wedge state: the trivial and
+    sign components and the two mirror-fixed planes of the two-dimensional
+    representation, keyed by name."""
+    g = uw.grid
+    grids = {rep: replace(g, rep=rep)
+             for rep in ("trivial",) + lattice.SIGN_REPS}
+    grids.update({name: lattice.GridSpec(g.half_width, g.symmetry, *space)
+                  for name, space in lattice.MIRROR_PLANES.items()})
+    return {name: np.linalg.eigvalsh(spectral.symmetric_block(
+        uw, NL, mu, d, grid).toarray()) for name, grid in grids.items()}
+
+
+def assert_blocks_tile_the_full_square(uw, mu, d):
+    # trivial + sign components + the mh plane twice (the two-dimensional
+    # representation) reproduce the full spectrum; the md plane carries the
+    # same eigenvalues as the mh plane
+    blocks = block_spectra(uw, mu, d)
+    jf = solver.jacobian(lattice.unfold(uw), NL, mu, d).toarray()
+    ev_full = np.linalg.eigvalsh(jf)
+    tiles = np.sort(np.concatenate(
+        [blocks[r] for r in ("trivial",) + lattice.SIGN_REPS]
+        + [blocks["mh"]] * 2))
+    scale = max(1.0, np.abs(ev_full).max())
+    assert tiles.shape == ev_full.shape
+    assert np.allclose(tiles, ev_full, rtol=0, atol=1e-9 * scale)
+    assert np.allclose(blocks["md"], blocks["mh"], rtol=0, atol=1e-9 * scale)
+
+
 class TestCharacterLaplacian:
     @pytest.mark.parametrize("symmetry", [OFFSITE, ONSITE])
     def test_component_spectra_tile_the_full_square(self, symmetry):
-        # trivial + sign components + a doubly degenerate remainder (the
-        # two-dimensional representation) must reproduce the full spectrum
         rng = np.random.default_rng(31)
         g = lattice.wedge(4, symmetry)
         uw = Field(g, rng.uniform(0.2, 1.2, g.size))
-        mu, d = 0.55, 0.17
-        jf = solver.jacobian(lattice.unfold(uw), NL, mu, d).toarray()
-        ev_full = np.sort(np.linalg.eigvalsh(jf))
-        jw = solver.jacobian(uw, NL, mu, d)
-        evs = list(np.linalg.eigvalsh(lattice.symmetric_form(
-            jw, lattice.orbit_weights(g)).toarray()))
-        for rep in codim2.SIGN_REPS:
-            comp, act = codim2.component(g, rep)
-            if len(act):
-                jc = solver.jacobian_matrix(uw.values[act], comp, NL, mu, d)
-                evs.extend(np.linalg.eigvalsh(lattice.symmetric_form(
-                    jc, lattice.orbit_weights(comp)).toarray()))
-        remaining = list(ev_full)
-        for lam in sorted(evs):
-            k = int(np.argmin(np.abs(np.array(remaining) - lam)))
-            assert abs(remaining[k] - lam) < 1e-9
-            remaining.pop(k)
-        remaining = np.sort(np.array(remaining)).reshape(-1, 2)
-        assert np.allclose(remaining[:, 0], remaining[:, 1], atol=1e-9)
+        assert_blocks_tile_the_full_square(uw, 0.55, 0.17)
+
+    @settings(max_examples=30, deadline=None)
+    @given(symmetry=st.sampled_from([OFFSITE, ONSITE]),
+           n_d=st.integers(2, 7), seed=st.integers(0, 2**32 - 1),
+           mu=st.floats(0.05, 0.95), d=st.floats(0.0, 1.0))
+    def test_block_spectra_tile_the_full_square_property(
+            self, symmetry, n_d, seed, mu, d):
+        g = lattice.wedge(n_d, symmetry)
+        uw = Field(g, np.random.default_rng(seed).uniform(-0.2, 1.3, g.size))
+        assert_blocks_tile_the_full_square(uw, mu, d)
+
+    def test_block_needs_a_state_fixed_by_its_group(self):
+        rng = np.random.default_rng(33)
+        full = lattice.full_square(3, OFFSITE)
+        u = Field(full, rng.uniform(0.2, 1.2, full.size))
+        with pytest.raises(ValueError, match="not fixed"):
+            spectral.symmetric_block(u, NL, 0.5, 0.1,
+                                     lattice.wedge(3, OFFSITE))
+        # on its own grid, the block is the full Jacobian
+        sym = spectral.symmetric_block(u, NL, 0.5, 0.1, full)
+        jac = solver.jacobian(u, NL, 0.5, 0.1)
+        assert abs(sym - jac).max() == 0.0
 
     def test_active_sites_respect_mirrors(self):
         g = lattice.wedge(5, OFFSITE)
         # sign1 flips under the diagonal mirror, so diagonal sites drop out
-        comp, act = codim2.component(g, "sign1")
-        sites = g.sites()[act]
-        assert np.array_equal(sites, comp.sites())
+        sites = replace(g, rep="sign1").sites()
+        assert set(map(tuple, sites)) < set(map(tuple, g.sites()))
         assert all(n != m for n, m in sites)
         # sign3 keeps the diagonal mirror: all wedge sites stay active
-        _, act3 = codim2.component(g, "sign3")
-        assert len(act3) == g.size
+        assert replace(g, rep="sign3").size == g.size
 
     def test_unfolded_component_lies_in_rep(self):
         g = lattice.wedge(4, OFFSITE)
         rng = np.random.default_rng(32)
-        for rep in codim2.SIGN_REPS:
-            comp, _ = codim2.component(g, rep)
+        for rep in lattice.SIGN_REPS:
+            comp = replace(g, rep=rep)
             vec = rng.standard_normal(comp.size)
             full = lattice.unfold(Field(comp, vec))
             tag, norms = spectral.isotypic_classify(full)
@@ -67,11 +97,8 @@ class TestCharacterLaplacian:
 def component_eigs(fold, rep, k):
     """The k eigenvalues of the rep-component Jacobian at a fold nearest
     zero, nearest first."""
-    comp, act = codim2.component(fold.u.grid, rep)
-    jac = solver.jacobian_matrix(fold.u.values[act], comp, NL, fold.mu,
-                                 fold.d)
-    vals, _ = spectral.eigenpairs_near_zero(
-        lattice.symmetric_form(jac, lattice.orbit_weights(comp)), k)
+    vals, _ = spectral.eigenpairs_near_zero(spectral.symmetric_block(
+        fold.u, NL, fold.mu, fold.d, replace(fold.u.grid, rep=rep)), k)
     return vals
 
 

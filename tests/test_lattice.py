@@ -56,6 +56,30 @@ class TestGridSpec:
         assert g == full_square(4, ONSITE)
         assert np.array_equal(orbit_weights(g), np.ones(g.size))
 
+    def test_rep_is_a_character_of_the_group(self):
+        mh_plane = lattice.GridSpec(4, OFFSITE, *lattice.MIRROR_PLANES["mh"])
+        assert mh_plane.group == ("e", "r180", "mv", "mh")
+        assert mh_plane.rep == (1, -1, -1, 1)
+        # signs follow their elements into D4 order; names restrict
+        assert lattice.GridSpec(4, OFFSITE, ("mh", "mv", "r180", "e"),
+                                (1, -1, -1, 1)) == mh_plane
+        assert lattice.GridSpec(4, OFFSITE, rep="sign2").rep == \
+            lattice.CHARACTERS["sign2"]
+        assert lattice.GridSpec(4, OFFSITE, ("e", "md"), "sign1").rep == \
+            (1, -1)
+        with pytest.raises(ValueError, match="not a character"):
+            # chi(r180) must be chi(mv) chi(mh) = -1
+            lattice.GridSpec(4, OFFSITE, ("e", "r180", "mv", "mh"),
+                             (1, 1, -1, 1))
+        with pytest.raises(ValueError, match="not a character"):
+            lattice.GridSpec(4, OFFSITE, ("e", "mh"), (1, -1, 1))
+        with pytest.raises(ValueError, match="not a character"):
+            lattice.GridSpec(4, OFFSITE, ("e", "mh"), (1,))
+        with pytest.raises(ValueError, match="not a character"):
+            lattice.GridSpec(4, OFFSITE, ("e", "mh"), (-1, -1))
+        with pytest.raises(ValueError, match="not a character"):
+            lattice.GridSpec(4, OFFSITE, rep="two_dim")
+
     def test_index_roundtrip(self):
         for g in (wedge(6, ONSITE), full_square(3, OFFSITE), full_square(3, ONSITE)):
             for i, (n, m) in enumerate(g.sites()):
@@ -245,7 +269,8 @@ SUBGROUPS = (lattice.D4, ("e", "r90", "r180", "r270"),
              ("e", "r180", "mv", "mh"), ("e", "r180", "md", "ma"),
              ("e", "md"), ("e", "mh"), ("e",))
 ORBIT_SPACES = ([(group, "trivial") for group in SUBGROUPS]
-                + [(lattice.D4, rep) for rep in ("sign1", "sign2", "sign3")])
+                + [(lattice.D4, rep) for rep in ("sign1", "sign2", "sign3")]
+                + list(lattice.MIRROR_PLANES.values()))
 
 
 class TestOrbitSpaceProperties:
@@ -280,10 +305,8 @@ class TestOrbitSpaceProperties:
         # a generic field is fixed by the kernel of chi on Sigma alone, once
         # the window has a site of trivial stabilizer (all but on-site N_d=2)
         if (symmetry, n_d) != (ONSITE, 2):
-            chars = lattice.CHARACTERS[rep]
             assert lattice.isotropy(v) == tuple(
-                name for name, chi in zip(lattice.element_names(), chars)
-                if name in group and chi == 1)
+                name for name, chi in zip(g.group, g.rep) if chi == 1)
 
     @pytest.mark.parametrize("symmetry", [OFFSITE, ONSITE])
     @pytest.mark.parametrize("space", ORBIT_SPACES)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -107,8 +108,7 @@ class TestUnstableCountProperties:
     def test_snake_counts_match_dense_spectrum(self, small_snake, where):
         nl, branch = small_snake
         pt = branch.points[round(where * (len(branch.points) - 1))]
-        rep = spectral.unstable_count(pt.u, nl, pt.mu, pt.d,
-                                      want_vectors=False)
+        rep = spectral.unstable_count(pt.u, nl, pt.mu, pt.d)
         ev = spectral.dense_spectrum(pt.u, nl, pt.mu, pt.d)
         assert rep.n_unstable == int(np.sum(ev > rep.tau))
         assert rep.n_zero == int(np.sum(np.abs(ev) < rep.tau))
@@ -160,10 +160,11 @@ class TestUnstableCount:
         v = anti_continuum_pattern(PatternId(2, 1, VBAR, OFFSITE), 1.0, nl, n_d=4)
         rep = spectral.unstable_count(v, nl, 1.0, 0.0)
         assert rep.n_zero == 12
-        assert len(rep.near_zero) >= 12
         _, jac = spectral.full_square_jacobian(v, nl, 1.0, 0.0)
-        for lam, vec in rep.near_zero:
-            assert np.max(np.abs(jac @ vec.values - lam * vec.values)) < 1e-8
+        vals, vecs = spectral.eigenpairs_near_zero(jac, 12)
+        assert np.all(np.abs(vals) < rep.tau)
+        for lam, vec in zip(vals, vecs):
+            assert np.max(np.abs(jac @ vec - lam * vec)) < 1e-8
 
     def test_report_json(self):
         nl = model.cubic_quintic()
@@ -171,24 +172,55 @@ class TestUnstableCount:
         rep = spectral.unstable_count(v, nl, 0.5, 0.0)
         assert rep.n_unstable == 8
         assert rep.n_zero == 0
-        assert rep.near_zero == []
 
     def test_report_json_tags_near_zero_modes(self):
         # at the decoupled window endpoint every filled cell is degenerate;
-        # the near-zero eigenvectors decompose across isotypic components
+        # each symmetry block holds one zero mode per grid site on the
+        # filled orbits of (1, 1) (size 4, fixed by md) and (2, 1) (size 8)
         nl = model.cubic_quintic()
         v = anti_continuum_pattern(PatternId(2, 1, VBAR, OFFSITE), 1.0, nl,
                                    n_d=4)
         rep = spectral.unstable_count(v, nl, 1.0, 0.0)
         assert rep.n_zero == 12
-        tags = {spectral.isotypic_classify(vec)[0]
-                for _, vec in rep.near_zero}
-        # a degenerate eigenbasis is an arbitrary rotation of site
-        # indicators, so the dominant tags need not be spread out; they must
-        # still be valid component names with eigenvalues inside the window
-        assert tags <= set(spectral.ISOTYPIC_TAGS)
-        for lam, _ in rep.near_zero:
-            assert abs(lam) < rep.tau
+        grids = {r: replace(v.grid, rep=r)
+                 for r in ("trivial",) + lattice.SIGN_REPS}
+        grids.update({name: lattice.GridSpec(4, OFFSITE, *space)
+                      for name, space in lattice.MIRROR_PLANES.items()})
+        zeros = {}
+        for name, grid in grids.items():
+            sym = spectral.symmetric_block(v, nl, 1.0, 0.0, grid)
+            zeros[name] = (spectral.eigencount_above(sym, -rep.tau)
+                           - spectral.eigencount_above(sym, rep.tau))
+        assert zeros == {"trivial": 2, "sign1": 1, "sign2": 1, "sign3": 2,
+                         "md": 3, "mh": 3}
+        # the two-dimensional representation counts its plane twice
+        assert sum(zeros.values()) - zeros["md"] + zeros["mh"] == 12
+
+
+class TestEigenpairsNearZero:
+    def test_shift_invert_matches_dense_eigh(self, monkeypatch):
+        # past DENSE_EIG_MAX rows the pairs come from shift-invert Lanczos
+        grid = lattice.full_square(16, OFFSITE)
+        rng = np.random.default_rng(40)
+        u = Field(grid, rng.uniform(-0.2, 1.3, grid.size))
+        jac = solver.jacobian(u, model.cubic_quintic(), 0.5, 0.2).tocsr()
+        assert jac.shape[0] == 1024 > spectral.DENSE_EIG_MAX
+        calls = []
+        eigsh = spectral.spla.eigsh
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(spectral.spla, "eigsh", spy)
+        vals, vecs = spectral.eigenpairs_near_zero(jac, 4)
+        assert len(calls) == 1
+        ev, ew = np.linalg.eigh(jac.toarray())
+        order = np.argsort(np.abs(ev))[:4]
+        assert np.allclose(vals, ev[order], rtol=0, atol=1e-10)
+        for vec, i in zip(vecs, order):
+            ref = ew[:, i]
+            assert min(np.abs(vec - ref).max(), np.abs(vec + ref).max()) < 1e-8
 
 
 class TestCrossingCount:

@@ -164,6 +164,52 @@ class TestSwitchDirections:
             assert abs(np.linalg.norm(psi.values) - 1) < 1e-9
 
 
+def first_stop(asym, norm=1.0):
+    """Index of the reconnection found by feeding the asymmetries one point
+    at a time, as the fan's stop condition does, and the number of points
+    fed before it fired."""
+    for n in range(1, len(asym) + 1):
+        i = studies.reconnection(asym[:n], [norm] * n)
+        if i is not None:
+            return i, n
+    return None, len(asym)
+
+
+class TestReconnection:
+    RISE = list(np.linspace(0.01, 2.0, 20))
+
+    def test_point_below_the_drop_ends_the_branch(self):
+        # 1e-3 lands below RECONNECT_DROP * 2 and ends the branch there,
+        # before the minimum that follows
+        asym = self.RISE + [1.0, 0.1, 1e-3, 5e-4, 0.2, 1.0]
+        assert first_stop(asym) == (22, 23)
+
+    def test_step_over_a_v_shaped_minimum(self):
+        # the closest point, 6e-3, stays above RECONNECT_DROP * 2 = 2e-3; the
+        # next point rises again and shows it as the minimum
+        asym = self.RISE + [1.0, 0.2, 6e-3, 0.15, 1.0, 2.0]
+        assert 6e-3 > studies.RECONNECT_DROP * max(asym)
+        assert first_stop(asym) == (22, 24)
+        assert studies.reconnection(asym[:23], [1.0] * 23) is None
+
+    def test_shallow_minimum_is_not_a_reconnection(self):
+        # a dip to 0.6 of the peak is a feature of the branch, not a return
+        # to symmetry
+        asym = self.RISE + [1.5, 1.2, 1.4, 2.1, 1.9]
+        assert first_stop(asym) == (None, len(asym))
+
+    def test_unarmed_branch_never_reconnects(self):
+        # the asymmetry never exceeds RECONNECT_ARM * max(1, norm)
+        asym = [1e-4, 2e-4, 1e-7, 3e-4, 1e-9, 2e-4]
+        assert first_stop(asym) == (None, len(asym))
+        # a hundred times larger, the same sequence drops at once
+        assert first_stop([100 * a for a in asym]) == (2, 3)
+
+    def test_minimum_at_a_plateau_counts_once(self):
+        asym = self.RISE + [0.5, 0.01, 0.01, 0.3]
+        assert first_stop(asym) == (22, 24)
+
+
 @pytest.mark.slow
 class TestAsymmetricFan:
     def test_seven_branches_reconnect_at_other_folds(self):
