@@ -105,6 +105,14 @@ def _check_width(N, n_d):
         raise ConfigError(f"pattern exceeds domain: N={N} > N_d={n_d}")
 
 
+def _check_mu(nl, key, mu):
+    lo, hi = nl.window
+    if not lo < mu < hi:
+        raise ConfigError(f"{key}={mu} outside the bistable window "
+                          f"{nl.window}")
+    return mu
+
+
 def _write_manifest(out_dir, cfg, seed, t0, outputs, bordered_solves):
     manifest = {
         "config": cfg,
@@ -129,7 +137,7 @@ def cmd_solve(cfg, out_dir, seed):
     n_d, symmetry = _grid_args(cfg)
     run = cfg.get("run", {})
     pattern = _pattern(run, symmetry, n_d)
-    mu = float(run.get("mu", 0.5))
+    mu = _check_mu(nl, "mu", float(run.get("mu", 0.5)))
     d = float(run.get("d", 0.0))
     u = studies.prepared_state(nl, pattern, mu, d, n_d)
     res = solver.residual(u, nl, mu, d).norm_inf()
@@ -147,15 +155,11 @@ def cmd_snake(cfg, out_dir, seed):
     n_d, symmetry = _grid_args(cfg)
     run = cfg.get("run", {})
     d = float(run.get("d", 1e-3))
-    mu_lo, mu_hi = nl.window
-    mu_start = float(run.get("mu_start", 0.5))
-    if not (mu_lo < mu_start < mu_hi):
-        raise ConfigError(
-            f"mu_start={mu_start} outside the bistable window {nl.window}"
-        )
+    mu_start = run.get("mu_start")  # default: the middle of the window
+    if mu_start is not None:
+        mu_start = _check_mu(nl, "mu_start", float(mu_start))
     branch = studies.snake_branch(
-        nl, d, symmetry=symmetry, n_d=n_d,
-        mu_start=mu_start,
+        nl, d, symmetry=symmetry, n_d=n_d, mu_start=mu_start,
         max_folds=int(run.get("max_folds", 19)),
         max_points=int(run.get("max_points", 20000)),
         h_init=run.get("h_init"), h_max=run.get("h_max"))
@@ -258,7 +262,7 @@ def cmd_simulate(cfg, out_dir, seed):
     n_d, symmetry = _grid_args(cfg)
     run = cfg.get("run", {})
     pattern = _pattern(run, symmetry, n_d)
-    mu = float(run.get("mu", 0.5))
+    mu = _check_mu(nl, "mu", float(run.get("mu", 0.5)))
     d = float(run.get("d", 1e-3))
     u = studies.prepared_state(nl, pattern, mu, d, n_d)
     amp = float(run.get("perturbation", 0.0))

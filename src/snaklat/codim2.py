@@ -19,6 +19,10 @@ from . import lattice, solver, spectral, studies
 
 # eigenvalues of a component Jacobian within this of zero count as null
 NULLITY_TOL = 1e-4
+# the fold-curve crossing is bisected to this width in d; a fold gap below
+# -GAP_NOISE counts as past the crossing
+D_RESOLUTION = 2e-4
+GAP_NOISE = 1e-10
 
 NoConvergence = solver.NoConvergence
 
@@ -43,17 +47,17 @@ def component_nullities(u_wedge, nonlinearity, mu, d, rep):
 
 
 def fold_curve_crossing(nonlinearity, N, n_d, symmetry=lattice.OFFSITE,
-                        d_bracket=(0.04, 0.12), d_resolution=2e-4,
-                        noise_floor=1e-10, folds=None):
+                        d_bracket=(0.04, 0.12), folds=None):
     """Coupling where the rightmost-fold curves of u-bar(N,1) and
     u-bar(N+1,1) cross.
 
     The switchback rearrangement happens where the rightmost fold of the
     pattern is overtaken by the fold of the next-wider pattern.  Below the
     crossing the two fold positions agree to an exponentially small (and for
-    wide patterns unmeasurable) amount, so the crossing is bisected on the
-    sign of the gap with a noise floor: a gap below ``-noise_floor`` counts
-    as past the crossing.  Returns (d_star, mu_star, fold_N).
+    wide patterns unmeasurable) amount, so the crossing is bisected to
+    D_RESOLUTION on the sign of the gap with a noise floor: a gap below
+    -GAP_NOISE counts as past the crossing.  Returns (d_star, mu_star,
+    fold_N).
 
     ``folds`` maps (width, d) to the refined right fold of u-bar(width, 1)
     for this nonlinearity, ``n_d`` and ``symmetry``; every probe is looked
@@ -76,25 +80,25 @@ def fold_curve_crossing(nonlinearity, N, n_d, symmetry=lattice.OFFSITE,
 
     a, b = d_bracket
     ga, fold_a = gap(a)
-    if ga < -noise_floor:
+    if ga < -GAP_NOISE:
         raise NoConvergence(
             f"lower bracket d={a} already past the ({N},1)/({N + 1},1) "
             f"fold-curve crossing"
         )
     gb, fold_b = gap(b)
-    while gb > -noise_floor and b < 0.3:
+    while gb > -GAP_NOISE and b < 0.3:
         b += 0.04
         gb, fold_b = gap(b)
-    if gb > -noise_floor:
+    if gb > -GAP_NOISE:
         raise NoConvergence(
             f"fold curves of ({N},1) and ({N + 1},1) do not cross in "
             f"[{a}, {b}]"
         )
     fold = fold_b
-    while b - a > d_resolution:
+    while b - a > D_RESOLUTION:
         mid = 0.5 * (a + b)
         g_mid, fold_mid = gap(mid)
-        if g_mid < -noise_floor:
+        if g_mid < -GAP_NOISE:
             b, fold = mid, fold_mid
         else:
             a = mid
@@ -145,7 +149,7 @@ def cusp_sequence(n_range, nonlinearity, n_d=25, symmetry=lattice.OFFSITE,
     return points, fit
 
 
-def fit_geometric(points, trim=True):
+def fit_geometric(points):
     """Fit (x_N) = x_inf + C rho^N jointly for the mu and d sequences.
 
     One trim pass drops entries whose residual exceeds four times the RMS of
@@ -171,18 +175,17 @@ def fit_geometric(points, trim=True):
     theta, per_point = run_fit(good)
     kept = good
     floor = 1e-12 * max(max(abs(e["mu"]), abs(e["d"])) for e in good)
-    if trim:
-        for _ in range(max(1, len(good) // 3)):
-            if len(kept) < 4 or per_point.max() < floor:
-                break
-            worst = int(np.argmax(per_point))
-            others = np.delete(per_point, worst)
-            rms = float(np.sqrt(np.mean(others**2)))
-            if rms > 0 and per_point[worst] > 4 * rms:
-                kept = [e for i, e in enumerate(kept) if i != worst]
-                theta, per_point = run_fit(kept)
-            else:
-                break
+    for _ in range(max(1, len(good) // 3)):
+        if len(kept) < 4 or per_point.max() < floor:
+            break
+        worst = int(np.argmax(per_point))
+        others = np.delete(per_point, worst)
+        rms = float(np.sqrt(np.mean(others**2)))
+        if rms > 0 and per_point[worst] > 4 * rms:
+            kept = [e for i, e in enumerate(kept) if i != worst]
+            theta, per_point = run_fit(kept)
+        else:
+            break
     mu_inf, d_inf, log_rho = theta
     mus = [e["mu"] for e in kept]
     ds = [e["d"] for e in kept]

@@ -46,6 +46,8 @@ FAST_ITERS = 3
 SLOW_ITERS = 7
 CORRECTOR_TOL = 1e-10
 MAX_CORRECTOR_ITERS = 10
+# smallest step length; a branch whose step falls below it ends
+H_MIN = 1e-7
 # a closed loop returns to its start with the tangent aligned to this, after
 # at least CLOSURE_MIN_POINTS points
 CLOSURE_ALIGN = 0.99
@@ -66,7 +68,6 @@ FOLD_HALVINGS = 6
 @dataclass
 class StepConfig:
     h_init: float = 1e-3
-    h_min: float = 1e-7
     h_max: float = 0.05
     max_points: int = 2000
     detect_closure: bool = False
@@ -193,7 +194,7 @@ def continue_branch(u0, nonlinearity, mu, d, parameter="mu",
         vals0 = start_field.values
 
     # first tangent from a small natural-parameter step
-    dp = direction * max(cfg.h_init, 10 * cfg.h_min)
+    dp = direction * max(cfg.h_init, 10 * H_MIN)
     nat = None
     for _ in range(12):
         mu_t, d_t = _pair(parameter, p0 + dp, fixed)
@@ -233,22 +234,22 @@ def continue_branch(u0, nonlinearity, mu, d, parameter="mu",
                 parameter, fixed, CORRECTOR_TOL, MAX_CORRECTOR_ITERS)
         except solver.SolverError:
             h = 0.5 * h_eff
-            if h < cfg.h_min:
+            if h < H_MIN:
                 branch.events.append((len(branch.points) - 1, END))
                 return branch
             continue
 
         secant = x_new - x
         step_len = norm(secant)
-        if step_len < cfg.h_min:
+        if step_len < H_MIN:
             branch.events.append((len(branch.points) - 1, END))
             return branch
         strayed = (norm(x_new - predicted)
-                   > MAX_PREDICTOR_DISTANCE * h_eff + 10 * cfg.h_min)
+                   > MAX_PREDICTOR_DISTANCE * h_eff + 10 * H_MIN)
         reversed_ = (secant / step_len) @ (metric * t) < MIN_TANGENT_ALIGN
         if strayed or reversed_:
             h = 0.5 * h_eff
-            if h < cfg.h_min:
+            if h < H_MIN:
                 branch.events.append((len(branch.points) - 1, END))
                 return branch
             continue
@@ -267,7 +268,7 @@ def continue_branch(u0, nonlinearity, mu, d, parameter="mu",
         if iters <= FAST_ITERS:
             h = min(h * GROW, cfg.h_max)
         elif iters >= SLOW_ITERS:
-            h = max(0.5 * h_eff, cfg.h_min)
+            h = max(0.5 * h_eff, H_MIN)
 
         x, t = x_new, t_new
 
@@ -367,7 +368,7 @@ def refine_fold(point_a, point_b, nonlinearity, parameter="mu", *, margin):
                      parameter=parameter)
 
 
-def detect_and_refine_folds(branch, nonlinearity, refine=True):
+def detect_and_refine_folds(branch, nonlinearity):
     """Refine every fold event on a branch; failures are flagged, not fatal."""
     if len(branch.points) < 3:
         raise ValueError("need at least 3 branch points to refine folds")
@@ -375,26 +376,25 @@ def detect_and_refine_folds(branch, nonlinearity, refine=True):
     for idx in branch.fold_indices():
         a = branch.points[max(idx - 1, 0)]
         b = branch.points[idx]
-        if refine:
-            # the fold sits within a couple of arclength steps of the
-            # bracket; adaptive stepping can make the final step tiny, so
-            # measure the local step scale over a wider stencil
-            lo = max(idx - 3, 0)
-            hi = min(idx + 2, len(branch.points))
-            margin = 1e-8
-            for j in range(lo, hi - 1):
-                pa, pb = branch.points[j], branch.points[j + 1]
-                margin = max(margin, 2.0 * (
-                    np.linalg.norm(pb.u.values - pa.u.values)
-                    + abs(pb.parameter_value(branch.parameter)
-                          - pa.parameter_value(branch.parameter))))
-            try:
-                out.append(refine_fold(a, b, nonlinearity,
-                                       parameter=branch.parameter,
-                                       margin=margin))
-                continue
-            except RefinementFailed:
-                pass
+        # the fold sits within a couple of arclength steps of the bracket;
+        # adaptive stepping can make the final step tiny, so measure the
+        # local step scale over a wider stencil
+        lo = max(idx - 3, 0)
+        hi = min(idx + 2, len(branch.points))
+        margin = 1e-8
+        for j in range(lo, hi - 1):
+            pa, pb = branch.points[j], branch.points[j + 1]
+            margin = max(margin, 2.0 * (
+                np.linalg.norm(pb.u.values - pa.u.values)
+                + abs(pb.parameter_value(branch.parameter)
+                      - pa.parameter_value(branch.parameter))))
+        try:
+            out.append(refine_fold(a, b, nonlinearity,
+                                   parameter=branch.parameter,
+                                   margin=margin))
+            continue
+        except RefinementFailed:
+            pass
         out.append(FoldPoint(u=b.u.copy(), mu=b.mu, d=b.d,
                              phi=Field(b.u.grid, b.tangent[:-1] /
                                        np.linalg.norm(b.tangent[:-1])),
@@ -414,8 +414,7 @@ def asymmetry(u):
         full.values, full.grid, "trivial")))
 
 
-def switch_branch(fold, psi, nonlinearity, eps=None, max_retries=4,
-                  tol=1e-10, mu_offsets=(0.0,)):
+def switch_branch(fold, psi, nonlinearity, eps=None, mu_offsets=(0.0,)):
     """Step off a fold along a critical direction, on the grid of ``psi``.
 
     ``psi`` is a near-null eigenvector on the full square, or folded onto
@@ -423,7 +422,7 @@ def switch_branch(fold, psi, nonlinearity, eps=None, max_retries=4,
     {F(u, mu) = 0, <psi, u - u_fold> = eps} with mu free and psi of unit
     norm, both in the orbit-weighted (the full-square) inner product, which
     parametrizes the bifurcating branch by its asymmetric amplitude.  On
-    failure eps is halved up to ``max_retries`` times; when the crossing
+    failure eps is halved up to 4 times; when the crossing
     mode is degenerate exactly at the fold (two-dimensional representation
     planes), starting from a slightly offset mu regularizes the pinned
     system, so ``mu_offsets`` are tried in order.
@@ -441,12 +440,13 @@ def switch_branch(fold, psi, nonlinearity, eps=None, max_retries=4,
 
     anchor = np.append(base, fold.mu)
     border = np.append(w * psi_v, 0.0)
-    for _ in range(max_retries + 1):
+    for _ in range(5):
         for mu_off in mu_offsets:
             x0 = np.append(base + eps * psi_v, fold.mu + mu_off)
             try:
                 x, _ = _pinned_newton(x0, anchor, border, eps, grid,
-                                      nonlinearity, "mu", fold.d, tol, 40)
+                                      nonlinearity, "mu", fold.d,
+                                      CORRECTOR_TOL, 40)
             except NoConvergence:
                 continue
             u = Field(grid, x[:-1])
@@ -459,27 +459,25 @@ def switch_branch(fold, psi, nonlinearity, eps=None, max_retries=4,
 # stability tagging and I/O
 
 
-def tag_stability(branch, nonlinearity, zero_tol=1e-8, check_events=True,
-                  event_window=5):
+def tag_stability(branch, nonlinearity):
     """Attach unstable counts to every point; changes require a fold event.
 
     The crossing eigenvalues pass the origin staggered around each fold, so
-    count changes are allowed within ``event_window`` points of an event;
-    elsewhere a change raises :class:`MissedEvent`.
+    count changes are allowed within 5 points of an event; elsewhere a
+    change raises :class:`MissedEvent`.
     """
     near_event = set()
     for i, kind in branch.events:
         if kind == START:
             continue
-        near_event.update(range(i - event_window, i + event_window + 1))
+        near_event.update(range(i - 5, i + 6))
     prev = None
     for i, pt in enumerate(branch.points):
         u_full, jac = spectral.full_square_jacobian(pt.u, nonlinearity, pt.mu,
                                                     pt.d)
         pt.unstable_count = spectral.eigencount_above(
-            jac, spectral.zero_band(u_full, nonlinearity, pt.mu, pt.d,
-                                    zero_tol))
-        if (check_events and prev is not None and pt.unstable_count != prev
+            jac, spectral.zero_band(u_full, nonlinearity, pt.mu, pt.d))
+        if (prev is not None and pt.unstable_count != prev
                 and i not in near_event):
             raise MissedEvent(
                 f"unstable count changed {prev} -> {pt.unstable_count} at "
@@ -505,12 +503,12 @@ def save_branch_csv(branch, path):
             ])
 
 
-def save_event_profiles(branch, directory, stem="profile"):
+def save_event_profiles(branch, directory):
     """Profile snapshots at event indices, keyed by branch index."""
     os.makedirs(directory, exist_ok=True)
     written = []
     for i, _ in branch.events:
-        path = os.path.join(directory, f"{stem}_{i:05d}.json")
+        path = os.path.join(directory, f"profile_{i:05d}.json")
         lattice.save_profile(branch.points[i].u, path)
         written.append(path)
     return written

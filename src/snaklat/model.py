@@ -127,11 +127,11 @@ def cubic_logistic():
 
 
 def polynomial(coefficients, endpoint_lo=None, endpoint_hi=None,
-               window=(0.0, 1.0), u_max=4.0):
+               window=(0.0, 1.0)):
     """Custom family f(u, mu) = sum_{j,k} c[j][k] mu^j u^k.
 
     ``coefficients`` is a nested sequence with c[j][k] the coefficient of
-    mu^j u^k.  Roots u_-(mu) < u_+(mu) are located by scanning (0, u_max] for
+    mu^j u^k.  Roots u_-(mu) < u_+(mu) are located by scanning (0, 4] for
     sign changes of f and refining each bracket by bisection (an exact zero
     at a scan node is a root as it stands); u_- is the root where f_u > 0.
     """
@@ -156,7 +156,7 @@ def polynomial(coefficients, endpoint_lo=None, endpoint_hi=None,
     c_umu[:-1, :] = c_u[1:, :] * np.arange(1, c.shape[0])[:, None]
 
     def positive_roots(mu):
-        us = np.linspace(0.0, u_max, 2049)
+        us = np.linspace(0.0, 4.0, 2049)
         vals = _eval(c, us[1:], mu)
         # a root landing exactly on a scan node has sign 0 and brackets
         # nothing, so it is taken as it is

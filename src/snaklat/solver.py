@@ -2,15 +2,16 @@
 
 The Jacobian d*L + diag(f_u) inherits the Laplacian's closure: on full
 squares it is symmetric; on the wedge it is self-adjoint only in the
-orbit-weighted inner product.  In natural site order it is banded, with
-bandwidths at most twice the grid's half-width.  :class:`BorderedLU`
-factors it once with LAPACK's banded LU; each right-hand side then
-eliminates the one border row and column, refines once and checks the
-backward error matrix-free, with :func:`sparse_solve` (splu's defaults) as
-the oracle it falls back on.  :func:`bordered_solve`, one factorization
-for one right-hand side, is the linear solve of every Newton step on
-F = 0; :func:`fold_step` solves every step on the fold system with one
-factorization and four right-hand sides.
+orbit-weighted inner product.  :func:`bordered_matrix` writes it on one
+cached pattern per grid, L with its diagonal stored.  In natural site order
+it is banded, with bandwidths at most twice the grid's half-width.
+:class:`BorderedLU` factors it once with LAPACK's banded LU; each
+right-hand side then eliminates the one border row and column, refines once
+and checks the backward error matrix-free, with :func:`sparse_solve`
+(splu's defaults) on the bordered matrix as the oracle it falls back on.
+:func:`bordered_solve`, one factorization for one right-hand side, is the
+linear solve of every Newton step on F = 0; :func:`fold_step` solves every
+step on the fold system with one factorization and four right-hand sides.
 """
 
 from __future__ import annotations
@@ -54,41 +55,6 @@ class SingularBorderedSystem(SolverError):
 BACKWARD_ERROR_MAX = 1e-12
 
 
-class BlockPattern:
-    """CSC pattern of a square block matrix from one (rows, cols) pair of
-    broadcastable index arrays per block; blocks may overlap (their values
-    add), positions within a block may not.  :meth:`matrix` writes data."""
-
-    def __init__(self, size, blocks):
-        blocks = [np.broadcast_arrays(np.atleast_1d(r), c) for r, c in blocks]
-        rows, cols = (np.concatenate(x) for x in zip(*blocks))
-        pattern = sp.csc_matrix((np.ones(len(rows)), (rows, cols)),
-                                shape=(size, size))
-        self.shape, self.indices = pattern.shape, pattern.indices
-        self.indptr = pattern.indptr
-        keys = (np.repeat(np.arange(size), np.diff(self.indptr)) * size
-                + self.indices)
-        self.positions = np.split(
-            np.searchsorted(keys, cols * size + rows),
-            np.cumsum([len(r) for r, _ in blocks])[:-1])
-        # shared by every matrix the pattern writes
-        self.indices.setflags(write=False)
-        self.indptr.setflags(write=False)
-
-    def matrix(self, *values):
-        data = np.zeros(len(self.indices))
-        for pos, v in zip(self.positions, values):
-            data[pos] += v
-        return sp.csc_matrix((data, self.indices, self.indptr),
-                             shape=self.shape)
-
-
-def operator_block(matrix, row, col):
-    """Indices of a canonical CSR matrix at (row, col), in data order."""
-    coo = matrix.tocoo()
-    return coo.row + row, coo.col + col
-
-
 def residual_values(values, grid, nonlinearity, mu, d):
     lap = lattice.laplacian_matrix(grid)
     return d * (lap @ values) + nonlinearity.f(values, mu)
@@ -109,23 +75,35 @@ def jacobian_matrix(values, grid, nonlinearity, mu, d):
 
 
 @lru_cache(maxsize=None)
-def _bordered_pattern(grid, border):
-    n = grid.size
-    sites = np.arange(n)
-    blocks = [operator_block(lattice.laplacian_matrix(grid), 0, 0),
-              (sites, sites)]
-    if border:
-        blocks += [(sites, n), (n, sites), (n, n)]
-    return BlockPattern(n + border, blocks)
+def _pattern(grid):
+    """L in CSC with every diagonal position stored (explicit zeros where
+    L has none), and the data index of each diagonal entry."""
+    coo = lattice.laplacian_matrix(grid).tocoo()
+    sites = np.arange(grid.size)
+    pattern = sp.csc_matrix(
+        (np.append(coo.data, np.zeros(grid.size)),
+         (np.append(coo.row, sites), np.append(coo.col, sites))),
+        shape=(grid.size, grid.size))
+    cols = np.repeat(sites, np.diff(pattern.indptr))
+    # shared by every matrix built on the pattern
+    for a in (pattern.data, pattern.indices, pattern.indptr):
+        a.setflags(write=False)
+    return pattern, np.flatnonzero(pattern.indices == cols)
 
 
 def bordered_matrix(grid, d, diag, b=None, c=None, delta=None):
     """CSC matrix d*L + diag(diag) on the grid, bordered by the column b,
     the row c^T and the corner delta unless b is None."""
-    dl = d * lattice.laplacian_matrix(grid).data
+    pattern, diagonal = _pattern(grid)
+    data = d * pattern.data
+    data[diagonal] += diag
+    jac = sp.csc_matrix((data, pattern.indices, pattern.indptr),
+                        shape=pattern.shape)
     if b is None:
-        return _bordered_pattern(grid, 0).matrix(dl, diag)
-    return _bordered_pattern(grid, 1).matrix(dl, diag, b, c, delta)
+        return jac
+    return sp.bmat([[jac, sp.csc_matrix(b).T],
+                    [sp.csc_matrix(c), sp.csc_matrix([[delta]])]],
+                   format="csc")
 
 
 def parameter_column(values, grid, nonlinearity, mu, d, parameter):
@@ -169,8 +147,8 @@ class _Band(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _band(grid):
-    lap = lattice.laplacian_matrix(grid)
-    rows, cols = (x.astype(np.intp) for x in operator_block(lap, 0, 0))
+    lap = lattice.laplacian_matrix(grid).tocoo()
+    rows, cols = (x.astype(np.intp) for x in (lap.row, lap.col))
     kl, ku = (int(np.max(x, initial=0)) for x in (rows - cols, cols - rows))
     image = np.zeros((grid.size, 2 * kl + ku + 1))
     image[cols, kl + ku + rows - cols] = lap.data
@@ -359,8 +337,8 @@ def newton(residual, step, x0, done, max_iter, halvings=0):
         f"no convergence in {max_iter} steps, |F|={norm:.3e}", x, norm)
 
 
-def newton_solve(u0, nonlinearity, mu, d, tol=1e-10, max_iter=50):
-    """Damped Newton iteration for F(u, mu, d) = 0.
+def newton_solve(u0, nonlinearity, mu, d, tol=1e-10):
+    """Damped Newton iteration for F(u, mu, d) = 0, at most 50 steps.
 
     Steps are halved (up to 8 times) until the residual sup-norm decreases;
     a step that cannot achieve a decrease raises :class:`NoConvergence`.
@@ -376,12 +354,11 @@ def newton_solve(u0, nonlinearity, mu, d, tol=1e-10, max_iter=50):
 
     x, _, it = newton(residual, step,
                       np.asarray(u0.values, dtype=float).copy(),
-                      lambda x, F: np.max(np.abs(F)) <= tol, max_iter,
-                      halvings=8)
+                      lambda x, F: np.max(np.abs(F)) <= tol, 50, halvings=8)
     return Field(grid, x), it
 
 
-def continue_in_coupling(u0, nonlinearity, mu, d_target, tol=1e-10):
+def continue_in_coupling(u0, nonlinearity, mu, d_target):
     """Natural continuation in d from a decoupled-limit state.
 
     Newton-corrects along a geometric ladder of coupling values until the
@@ -396,7 +373,7 @@ def continue_in_coupling(u0, nonlinearity, mu, d_target, tol=1e-10):
         if (step > 0 and d_try > d_target) or (step < 0 and d_try < d_target):
             d_try = d_target
         try:
-            u_new, _ = newton_solve(u, nonlinearity, mu, d_try, tol=tol)
+            u_new, _ = newton_solve(u, nonlinearity, mu, d_try)
         except SolverError:
             halvings += 1
             step *= 0.5

@@ -3,9 +3,8 @@ its symmetry blocks.
 
 Unstable-eigenvalue counts come from the inertia of the symmetric Jacobian,
 computed with a fill-reducing sparse LDL^T factorization (no eigensolve
-needed) that falls back to LAPACK's pivoted dense LDL^T when its pivots do
-not check out; dense eigendecompositions are kept as a cross-validation
-oracle for small grids.
+needed); when its pivots do not check out, a dense symmetric eigensolve
+counts instead, the oracle the property tests compare against.
 The Jacobian of a symmetric state is block diagonal over the D4 isotypic
 components (Dellnitz & Werner, J. Comput. Appl. Math. 26, 1989); each
 block is the Jacobian on an orbit-space grid (:func:`symmetric_block`),
@@ -22,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -47,6 +45,9 @@ DENSE_EIG_MAX = 900
 # lattice problem stay below 10
 LDL_GROWTH_MAX = 1e6
 
+# eigenvalues within ZERO_TOL * max(1, d max|f_u|) of zero count as zero
+ZERO_TOL = 1e-8
+
 _DIMS = {"trivial": 1, "sign1": 1, "sign2": 1, "sign3": 1, "two_dim": 2}
 
 
@@ -54,24 +55,21 @@ _DIMS = {"trivial": 1, "sign1": 1, "sign2": 1, "sign3": 1, "two_dim": 2}
 # inertia via sparse LDL^T
 
 
-def ldl_inertia(matrix, pivot_tol=None):
+def ldl_inertia(matrix):
     """Counts (n_pos, n_neg) of the eigenvalue signs of a symmetric matrix.
 
     SuperLU factorizes P A P^T = L U with a fill-reducing symmetric
     ordering and diagonal pivots only, so U = D L^T and, by Sylvester's law,
     the signs of diag(U) are the eigenvalue signs.  Raises
     :class:`FactorizationFailure` when SuperLU left the diagonal (row and
-    column permutations differ), a pivot is not larger than ``pivot_tol``
-    (default 1e-14 times the largest entry, and at least 1e-14), or the
-    factor grew past ``LDL_GROWTH_MAX`` times the largest entry of the
-    matrix: without pivoting a tiny pivot that clears ``pivot_tol`` can
-    still swamp its Schur complement, and the pivot signs then count a
-    different matrix.
+    column permutations differ), a pivot is not larger than 1e-14 times
+    the largest entry (and at least 1e-14), or the factor grew past
+    ``LDL_GROWTH_MAX`` times the largest entry of the matrix: without
+    pivoting a tiny pivot that clears the pivot bound can still swamp its
+    Schur complement, and the pivot signs then count a different matrix.
     """
     csc = sp.csc_matrix(matrix)
     scale = np.max(np.abs(csc.data), initial=0.0)
-    if pivot_tol is None:
-        pivot_tol = 1e-14 * max(scale, 1.0)
     try:
         lu = spla.splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
@@ -81,7 +79,7 @@ def ldl_inertia(matrix, pivot_tol=None):
         raise FactorizationFailure("off-diagonal pivot")
     pivots = lu.U.diagonal()
     smallest = np.min(np.abs(pivots))
-    if not smallest > pivot_tol:  # a NaN pivot fails too
+    if not smallest > 1e-14 * max(scale, 1.0):  # a NaN pivot fails too
         raise FactorizationFailure(f"pivot breakdown: {smallest:.3e}")
     growth = np.max(np.abs(lu.U.data)) / scale
     if not growth <= LDL_GROWTH_MAX:
@@ -90,35 +88,15 @@ def ldl_inertia(matrix, pivot_tol=None):
     return n_pos, pivots.size - n_pos
 
 
-def dense_ldl_inertia(matrix):
-    """Inertia from LAPACK's pivoted LDL^T (Bunch-Kaufman); oracle path."""
-    a = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix)
-    _, d, _ = scipy.linalg.ldl(a)
-    n = a.shape[0]
-    lams = []
-    k = 0
-    while k < n:
-        size = 2 if k + 1 < n and abs(d[k + 1, k]) > 0 else 1
-        lams.extend(np.linalg.eigvalsh(d[k: k + size, k: k + size]))
-        k += size
-    lams = np.array(lams)
-    return (int(np.sum(lams > 0)), int(np.sum(lams < 0)),
-            int(np.sum(lams == 0)))
-
-
-def eigencount_above(matrix, threshold, retries=4):
-    """Number of eigenvalues of a symmetric matrix strictly above threshold."""
-    n = matrix.shape[0]
-    shift = threshold
-    for attempt in range(retries):
-        try:
-            n_pos, _ = ldl_inertia(matrix - shift * sp.eye(n))
-            return n_pos
-        except FactorizationFailure:
-            # nudge the shift off an eigenvalue and retry
-            shift = threshold + (attempt + 1) * 1e-12 * max(1.0, abs(threshold))
-    n_pos, _, _ = dense_ldl_inertia(matrix - shift * sp.eye(n))
-    return n_pos
+def eigencount_above(matrix, threshold):
+    """Number of eigenvalues of a symmetric matrix strictly above threshold:
+    the inertia of the shifted matrix by :func:`ldl_inertia`, or, when that
+    declines, by a dense eigensolve."""
+    shifted = matrix - threshold * sp.eye(matrix.shape[0])
+    try:
+        return ldl_inertia(shifted)[0]
+    except FactorizationFailure:
+        return int(np.sum(np.linalg.eigvalsh(shifted.toarray()) > 0))
 
 
 # ---------------------------------------------------------------------------
@@ -152,20 +130,20 @@ def symmetric_block(u, nonlinearity, mu, d, grid):
                                   lattice.orbit_weights(grid))
 
 
-def zero_band(u_full, nonlinearity, mu, d, zero_tol):
-    """tau = zero_tol * max(1, d * max|f_u|); (-tau, tau) counts as zero."""
-    return zero_tol * max(1.0, abs(d) * float(np.max(np.abs(
+def zero_band(u_full, nonlinearity, mu, d):
+    """tau = ZERO_TOL * max(1, d * max|f_u|); (-tau, tau) counts as zero."""
+    return ZERO_TOL * max(1.0, abs(d) * float(np.max(np.abs(
         nonlinearity.f_u(u_full.values, mu)))))
 
 
-def unstable_count(u_wedge, nonlinearity, mu, d, zero_tol=1e-8):
+def unstable_count(u_wedge, nonlinearity, mu, d):
     """Inertia-based stability report on the unfolded Neumann square.
 
     ``n_unstable`` counts eigenvalues above +tau and ``n_zero`` those within
-    (-tau, tau), with tau = zero_tol * max(1, d * max|f_u|).
+    (-tau, tau), with tau = ZERO_TOL * max(1, d * max|f_u|).
     """
     u_full, jac = full_square_jacobian(u_wedge, nonlinearity, mu, d)
-    tau = zero_band(u_full, nonlinearity, mu, d, zero_tol)
+    tau = zero_band(u_full, nonlinearity, mu, d)
     n_above = eigencount_above(jac, tau)
     return SpectrumReport(n_unstable=n_above,
                           n_zero=eigencount_above(jac, -tau) - n_above,
@@ -199,8 +177,8 @@ def dense_spectrum(u_wedge, nonlinearity, mu, d):
 # crossings at folds
 
 
-def crossing_count_at_fold(branch, fold_index, nonlinearity, window=None,
-                           zero_tol=1e-8, fold_point=None):
+def crossing_count_at_fold(branch, fold_index, nonlinearity, window,
+                           fold_point=None):
     """Number of eigenvalues crossing zero at a fold along a branch.
 
     The count is the difference of inertia-based unstable counts at bracket
@@ -221,8 +199,6 @@ def crossing_count_at_fold(branch, fold_index, nonlinearity, window=None,
         inward = getattr(pts[max(fold_index - 3, 0)], branch.parameter)
         # the branch folds back: the extremal local value estimates the fold
         p_fold = max(local) if inward < np.median(local) else min(local)
-    if window is None:
-        window = 0.0
     other_events = {i for i, kind in getattr(branch, "events", [])
                     if i != fold_index and kind == "fold"}
 
@@ -241,8 +217,7 @@ def crossing_count_at_fold(branch, fold_index, nonlinearity, window=None,
     def count_at(i):
         if i not in cache:
             pt = pts[i]
-            rep = unstable_count(pt.u, nonlinearity, pt.mu, pt.d,
-                                 zero_tol=zero_tol)
+            rep = unstable_count(pt.u, nonlinearity, pt.mu, pt.d)
             if rep.n_zero:
                 raise AmbiguousCrossing(
                     f"near-zero eigenvalue at bracket point {i}"

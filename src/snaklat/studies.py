@@ -52,30 +52,32 @@ def _lower_ending(nonlinearity, N, M):
 
 
 def find_left_fold(nonlinearity, N, M, d, symmetry=OFFSITE, n_d=10,
-                   mu_start=0.5, max_retries=3, return_branch=False):
+                   return_branch=False):
     """Fold where the u-bar(N, M) state terminates toward the lower endpoint.
 
-    Starts from the continued pattern at ``mu_start`` and walks down in mu
-    with the step capped near the predicted fold scale; the cap shrinks and
-    the run is repeated if the fold was stepped over.
+    Starts from the continued pattern at the middle of the window and walks
+    down in mu with the step capped near the predicted fold scale; the cap
+    shrinks and the run is repeated if the fold was stepped over.
     """
-    lo, _, scale = fold_scale(nonlinearity, _lower_ending(nonlinearity, N, M),
-                              d, upper=False)
+    lo, hi, scale = fold_scale(nonlinearity,
+                               _lower_ending(nonlinearity, N, M), d,
+                               upper=False)
+    mu_start = lo + 0.5 * (hi - lo)
     pattern = PatternId(N, M, UBAR, symmetry)
     u = prepared_state(nonlinearity, pattern, mu_start, d, n_d)
     return _first_fold(u, nonlinearity, mu_start, d,
-                       (lo - 1.0, lo + 4.0 * scale), scale / 5.0, -1.0,
-                       (lo - 0.5 * scale, mu_start + 0.2),
-                       max_retries, return_branch,
+                       (lo - (hi - lo), lo + 4.0 * scale), scale / 5.0, -1.0,
+                       (lo - 0.5 * scale, mu_start + 0.2 * (hi - lo)),
+                       return_branch,
                        f"left fold for (N, M)=({N}, {M}) at d={d}")
 
 
 def find_right_fold(nonlinearity, N, M, d, symmetry=OFFSITE, n_d=10,
-                    mu_start=None, max_retries=3, return_branch=False):
+                    return_branch=False):
     """Fold where the u-bar(N, M) state terminates toward the upper endpoint.
 
     At moderate coupling the pattern only exists over a shrinking mu range,
-    so the default preparation point tracks the predicted fold location.
+    so the preparation point tracks the predicted fold location.
     """
     if nonlinearity.endpoint_hi == model.FOLD:
         ending = (asymptotics.FOLD_M1 if M == 1 and N >= 3
@@ -85,9 +87,7 @@ def find_right_fold(nonlinearity, N, M, d, symmetry=OFFSITE, n_d=10,
                   else asymptotics.TRANS1_M_NEAR_N)
     lo, hi, scale = fold_scale(nonlinearity, ending, d, upper=True)
     pattern = PatternId(N, M, UBAR, symmetry)
-    if mu_start is not None:
-        candidates = [mu_start]
-    elif scale < 0.05 * (hi - lo):
+    if scale < 0.05 * (hi - lo):
         candidates = [min(lo + 0.7 * (hi - lo),
                           max(lo + 0.2 * (hi - lo), hi - 1.6 * scale))]
     else:
@@ -108,23 +108,23 @@ def find_right_fold(nonlinearity, N, M, d, symmetry=OFFSITE, n_d=10,
             f"could not prepare u-bar({N},{M}) at d={d} from any mu"
         )
     return _first_fold(u, nonlinearity, mu_start, d,
-                       (hi - 6.0 * scale, hi + 1.0), _upper_fold_cap(scale),
-                       +1.0, (mu_start - 0.2, hi + scale), max_retries,
-                       return_branch,
+                       (hi - 6.0 * scale, hi + (hi - lo)),
+                       _upper_fold_cap(scale), +1.0,
+                       (mu_start - 0.2 * (hi - lo), hi + scale), return_branch,
                        f"right fold for (N, M)=({N}, {M}) at d={d}")
 
 
 def _first_fold(u, nonlinearity, mu_start, d, band, cap, direction, p_bounds,
-                max_retries, return_branch, what):
+                return_branch, what):
     """Continue in mu to the first fold and refine it.
 
     Inside ``band`` the step is capped at ``cap``; the cap shrinks fourfold
-    and the run is repeated while the fold fails to refine.  The branch
-    stops one point past the fold, the last point the refinement reads,
-    unless it is returned, when it keeps the default tail.
+    and the run is repeated, up to three times, while the fold fails to
+    refine.  The branch stops one point past the fold, the last point the
+    refinement reads, unless it is returned, when it keeps the default tail.
     """
     tail = StepConfig.points_after_fold if return_branch else 1
-    for _ in range(max_retries + 1):
+    for _ in range(4):
         cfg = StepConfig(stop_after_folds=1, max_points=3000,
                          points_after_fold=tail, refine_bands=((*band, cap),))
         branch = continuation.continue_branch(
@@ -137,12 +137,13 @@ def _first_fold(u, nonlinearity, mu_start, d, band, cap, direction, p_bounds,
     raise continuation.RefinementFailed(f"no refined {what}")
 
 
-def snake_branch(nonlinearity, d, symmetry=OFFSITE, n_d=20, mu_start=0.5,
+def snake_branch(nonlinearity, d, symmetry=OFFSITE, n_d=20, mu_start=None,
                  max_folds=19, max_points=20000, h_init=None, h_max=None):
     """Trace the primary snaking branch upward through ``max_folds`` folds.
 
-    Starts on the v-bar(1,1) segment and follows the branch as cells are
-    added; step bands around both window endpoints resolve the fold pairs.
+    Starts on the v-bar(1,1) segment at ``mu_start`` (by default the middle
+    of the window) and follows the branch as cells are added; step bands
+    around both window endpoints resolve the fold pairs.
     """
     lo, _, lo_scale = fold_scale(
         nonlinearity, _lower_ending(nonlinearity, 3, 1), d, upper=False)
@@ -150,9 +151,11 @@ def snake_branch(nonlinearity, d, symmetry=OFFSITE, n_d=20, mu_start=0.5,
         nonlinearity,
         asymptotics.FOLD_M_NEAR_N if nonlinearity.endpoint_hi == model.FOLD
         else asymptotics.TRANS1_M_NEAR_N, d, upper=True)
+    if mu_start is None:
+        mu_start = lo + 0.5 * (hi - lo)
     bands = (
-        (lo - 1.0, lo + 3.0 * lo_scale, lo_scale / 5.0),
-        (hi - 5.0 * hi_scale, hi + 1.0, _upper_fold_cap(hi_scale)),
+        (lo - (hi - lo), lo + 3.0 * lo_scale, lo_scale / 5.0),
+        (hi - 5.0 * hi_scale, hi + (hi - lo), _upper_fold_cap(hi_scale)),
     )
     # ascending traversal: v-bar(1,1) runs to the right fold first, then the
     # branch alternates left/right folds while cells switch on
@@ -202,7 +205,7 @@ def corner_receded_state(nonlinearity, N, mu, d, n_d, symmetry=OFFSITE):
 
 
 def trace_pattern_isola(nonlinearity, N, d, n_d=16, symmetry=OFFSITE,
-                        mu_start=None, max_points=8000, cap_scale=0.5):
+                        mu_start=None, max_points=8000):
     """Trace the corner-receded family with closure detection.
 
     Returns a closed branch (isola) when one exists at this coupling; after
@@ -216,7 +219,7 @@ def trace_pattern_isola(nonlinearity, N, d, n_d=16, symmetry=OFFSITE,
     u = corner_receded_state(nonlinearity, N, mu_start, d, n_d,
                              symmetry=symmetry)
     band = (lo + 0.45 * (hi - lo), lo + 2.0 * (hi - lo),
-            cap_scale * _upper_fold_cap(2.0 * d))
+            0.5 * _upper_fold_cap(2.0 * d))
     cfg = StepConfig(max_points=max_points, detect_closure=True, h_max=0.03,
                      refine_bands=(band,))
     return continuation.continue_branch(

@@ -43,6 +43,17 @@ class TestConfigValidation:
         assert rc == 2
         assert "pattern exceeds domain" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    @pytest.mark.parametrize("mu", [1.5, -0.2])
+    def test_mu_outside_window_is_config_error(self, tmp_path, capsys,
+                                               command, mu):
+        cfg = write_config(tmp_path, {
+            "grid": {"N_d": 5},
+            "run": {"pattern": {"N": 2, "M": 1}, "mu": mu, "d": 1e-3}})
+        rc = cli.main([command, "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, run, message", [
         ("asym", {"N": 4}, "pattern exceeds domain"),
         ("isola", {"N": 4}, "pattern exceeds domain"),
@@ -136,10 +147,11 @@ class TestSnake:
         assert rc == 1
         assert "numerical failure" in capsys.readouterr().err
 
-    def test_mu_start_outside_window_is_config_error(self, tmp_path):
+    def test_mu_start_outside_window_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"run": {"d": 1e-3, "mu_start": 1.4}})
         rc = cli.main(["snake", "--config", cfg, "--out", str(tmp_path)])
         assert rc == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestOutputDirectory:

@@ -58,7 +58,7 @@ class TestContinueBranch:
         for a, b in zip(br.points, br.points[1:]):
             dx = np.linalg.norm(np.concatenate(
                 [b.u.values - a.u.values, [b.mu - a.mu]]))
-            assert dx >= cfg.h_min
+            assert dx >= ct.H_MIN
 
     def test_domain_boundary_stops_with_end_event(self):
         d = 1e-3
@@ -131,11 +131,16 @@ class TestFolds:
         fold = studies.find_right_fold(cl, 3, 1, d, n_d=8)
         assert abs((1 - fold.mu) / np.sqrt(d) - 2 * np.sqrt(2)) < 0.02
 
-    def test_refinement_failure_flagged_not_fatal(self):
+    def test_refinement_failure_flagged_not_fatal(self, monkeypatch):
         d = 1e-3
         fold, branch = studies.find_left_fold(NL, 2, 1, d, n_d=8,
                                               return_branch=True)
-        pts = ct.detect_and_refine_folds(branch, NL, refine=False)
+
+        def fail(*args, **kwargs):
+            raise ct.RefinementFailed("refinement refused")
+
+        monkeypatch.setattr(ct, "refine_fold", fail)
+        pts = ct.detect_and_refine_folds(branch, NL)
         assert pts and not pts[0].refined
 
 
@@ -210,7 +215,7 @@ class TestBranchIO:
         assert len(lines) == 1 + len(branch.points)
         assert any(",fold" in ln or "fold" in ln.split(",")[-1]
                    for ln in lines[1:])
-        written = ct.save_event_profiles(branch, tmp_path, stem="prof")
+        written = ct.save_event_profiles(branch, tmp_path)
         assert written
         loaded = lattice.load_profile(written[0])
         assert loaded.grid == branch.points[0].u.grid

@@ -10,6 +10,16 @@ from snaklat.lattice import OFFSITE
 NL = model.cubic_quintic()
 
 
+def rescaled_cubic_quintic():
+    """2 f(v/2, 4 nu) = -4 nu v + v^3/2 - v^5/16 on (0, 1/4): F~(v, nu, d) =
+    2 F(v/2, 4 nu, d), so its solutions and folds are the cubic-quintic's
+    at mu = 4 nu, u = v/2."""
+    c = np.zeros((2, 6))
+    c[1, 1], c[0, 3], c[0, 5] = -4.0, 0.5, -1.0 / 16
+    return model.polynomial(c, endpoint_lo=model.PITCHFORK,
+                            endpoint_hi=model.FOLD, window=(0.0, 0.25))
+
+
 class TestFoldScale:
     def test_scales_read_the_window(self):
         # -mu u + u^3 - u^5 on (0, 1/4) folds at mu = 1/4 - 2 d
@@ -45,23 +55,31 @@ class TestFoldScale:
             assert np.max(np.abs(b.u.values - a.u.values)) < 1e-8
 
     def test_snake_folds_map_to_a_rescaled_window(self):
-        # 2 f(v/2, 4 nu) = -4 nu v + v^3/2 - v^5/16: F~(v, nu, d) =
-        # 2 F(v/2, 4 nu, d), so its folds are the cubic-quintic's at
-        # mu = 4 nu, u = v/2
-        c = np.zeros((2, 6))
-        c[1, 1], c[0, 3], c[0, 5] = -4.0, 0.5, -1.0 / 16
-        scaled = model.polynomial(c, endpoint_lo=model.PITCHFORK,
-                                  endpoint_hi=model.FOLD, window=(0.0, 0.25))
+        # the default start is the middle of each window
+        scaled = rescaled_cubic_quintic()
         ref = ct.detect_and_refine_folds(
             studies.snake_branch(NL, 1e-3, n_d=6, max_folds=5), NL)
         got = ct.detect_and_refine_folds(
-            studies.snake_branch(scaled, 1e-3, n_d=6, max_folds=5,
-                                 mu_start=0.125), scaled)
+            studies.snake_branch(scaled, 1e-3, n_d=6, max_folds=5), scaled)
         assert len(got) == len(ref) == 5
         for a, b in zip(ref, got):
             assert a.refined and b.refined
             assert abs(4 * b.mu - a.mu) < 1e-9
             assert np.max(np.abs(b.u.values / 2 - a.u.values)) < 1e-8
+
+    @pytest.mark.parametrize("N, M", [(1, 1), (3, 1)])
+    def test_left_fold_maps_to_a_rescaled_window(self, N, M):
+        scaled = rescaled_cubic_quintic()
+        ref = studies.find_left_fold(NL, N, M, 1e-3, n_d=8)
+        got = studies.find_left_fold(scaled, N, M, 1e-3, n_d=8)
+        assert ref.refined and got.refined
+        assert abs(got.mu - ref.mu / 4) < 1e-9
+        assert np.max(np.abs(got.u.values / 2 - ref.u.values)) < 1e-8
+
+    @pytest.mark.slow
+    def test_isola_closes_on_a_rescaled_window(self):
+        for nl in (NL, rescaled_cubic_quintic()):
+            assert studies.trace_pattern_isola(nl, 4, 0.12, n_d=12).closed
 
 
 class TestFoldHunt:
