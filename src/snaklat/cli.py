@@ -113,7 +113,7 @@ def _check_mu(nl, key, mu):
     return mu
 
 
-def _write_manifest(out_dir, cfg, seed, t0, outputs, bordered_solves):
+def _write_manifest(out_dir, cfg, seed, t0, outputs, stats):
     manifest = {
         "config": cfg,
         "seed": seed,
@@ -124,7 +124,7 @@ def _write_manifest(out_dir, cfg, seed, t0, outputs, bordered_solves):
         },
         "wall_time_s": time.perf_counter() - t0,
         "outputs": outputs,
-        "stats": {"bordered_solves": bordered_solves},
+        "stats": stats,
     }
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w") as fh:
@@ -220,9 +220,11 @@ def cmd_isola(cfg, out_dir, seed):
     d = float(run.get("d", 0.12))
     N = int(run.get("N", 4))
     _check_width(N, n_d)
+    mu_start = run.get("mu_start")
+    if mu_start is not None:
+        mu_start = _check_mu(nl, "mu_start", float(mu_start))
     branch = studies.trace_pattern_isola(
-        nl, N, d, n_d=n_d, symmetry=symmetry,
-        mu_start=run.get("mu_start"),
+        nl, N, d, n_d=n_d, symmetry=symmetry, mu_start=mu_start,
         max_points=int(run.get("max_points", 8000)))
     path = os.path.join(out_dir, "isola.csv")
     continuation.save_branch_csv(branch, path)
@@ -355,7 +357,7 @@ def main(argv=None):
     out_dir = args.out or cfg.get("output", {}).get("directory", ".")
     os.makedirs(out_dir, exist_ok=True)
     try:
-        with solver.counting_bordered_solves() as bordered_solves:
+        with solver.counting() as stats:
             outputs = _COMMANDS[args.command](cfg, out_dir, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -363,7 +365,7 @@ def main(argv=None):
     except solver.SolverError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    _write_manifest(out_dir, cfg, seed, t0, outputs, bordered_solves)
+    _write_manifest(out_dir, cfg, seed, t0, outputs, stats)
     return 0
 
 

@@ -36,14 +36,14 @@ def smallest_component_eig(u, nonlinearity, mu, d, rep):
 
 def component_nullities(u_wedge, nonlinearity, mu, d, rep):
     """Counts of the eigenvalues within NULLITY_TOL of zero of the
-    trivial- and rep-component Jacobians (inertia of the shifted symmetric
-    forms)."""
-    blocks = (spectral.symmetric_block(u_wedge, nonlinearity, mu, d,
-                                       replace(u_wedge.grid, rep=r))
-              for r in ("trivial", rep))
-    return tuple(spectral.eigencount_above(sym, -NULLITY_TOL)
-                 - spectral.eigencount_above(sym, NULLITY_TOL)
-                 for sym in blocks)
+    trivial- and rep-component Jacobians (inertia of the shifted blocks by
+    :func:`spectral.count_above`)."""
+    counts = []
+    for grid in (replace(u_wedge.grid, rep=r) for r in ("trivial", rep)):
+        diag = spectral.block_diagonal(u_wedge, nonlinearity, mu, grid)
+        counts.append(spectral.count_above(grid, d, diag, -NULLITY_TOL)
+                      - spectral.count_above(grid, d, diag, NULLITY_TOL))
+    return tuple(counts)
 
 
 def fold_curve_crossing(nonlinearity, N, n_d, symmetry=lattice.OFFSITE,

@@ -63,6 +63,9 @@ FOLD_TOL_RES = 1e-10
 FOLD_TOL_NULL = 1e-8
 FOLD_MAX_ITERS = 40
 FOLD_HALVINGS = 6
+# a branch-switching attempt stops once its residual sup-norm exceeds this
+# multiple of its starting one; attempts that converge rise by at most 223x
+SWITCH_MAX_GROWTH = 1e6
 
 
 @dataclass
@@ -135,12 +138,13 @@ def _make_point(values, grid, mu, d, tangent=None):
 
 
 def _pinned_newton(x0, anchor, border, offset, grid, nonlinearity,
-                   parameter, fixed, tol, max_iter):
+                   parameter, fixed, tol, max_iter, max_growth=None):
     """Full-step Newton on {F(u, p) = 0, <border, x - anchor> = offset}.
 
     The unknown is x = (u, p).  Stops when |F| <= tol and the constraint
     holds to 1e-12 max(1, |p|); returns (x, steps) or raises
-    :class:`NoConvergence`.
+    :class:`NoConvergence`, also once the residual exceeds ``max_growth``
+    times its start (see :func:`solver.newton`).
     """
     def residual(x):
         mu, d = _pair(parameter, x[-1], fixed)
@@ -160,7 +164,8 @@ def _pinned_newton(x0, anchor, border, offset, grid, nonlinearity,
         return (np.max(np.abs(F[:-1])) <= tol
                 and abs(F[-1]) <= 1e-12 * max(1.0, abs(x[-1])))
 
-    x, _, steps = solver.newton(residual, step, x0, done, max_iter)
+    x, _, steps = solver.newton(residual, step, x0, done, max_iter,
+                                max_growth=max_growth)
     return x, steps
 
 
@@ -425,7 +430,9 @@ def switch_branch(fold, psi, nonlinearity, eps=None, mu_offsets=(0.0,)):
     failure eps is halved up to 4 times; when the crossing
     mode is degenerate exactly at the fold (two-dimensional representation
     planes), starting from a slightly offset mu regularizes the pinned
-    system, so ``mu_offsets`` are tried in order.
+    system, so ``mu_offsets`` are tried in order.  An attempt whose
+    residual grows past SWITCH_MAX_GROWTH times its start is abandoned as
+    diverging.
     """
     grid = psi.grid
     base = lattice.fold(lattice.unfold(fold.u), grid).values
@@ -446,7 +453,7 @@ def switch_branch(fold, psi, nonlinearity, eps=None, mu_offsets=(0.0,)):
             try:
                 x, _ = _pinned_newton(x0, anchor, border, eps, grid,
                                       nonlinearity, "mu", fold.d,
-                                      CORRECTOR_TOL, 40)
+                                      CORRECTOR_TOL, 40, SWITCH_MAX_GROWTH)
             except NoConvergence:
                 continue
             u = Field(grid, x[:-1])
@@ -473,10 +480,10 @@ def tag_stability(branch, nonlinearity):
         near_event.update(range(i - 5, i + 6))
     prev = None
     for i, pt in enumerate(branch.points):
-        u_full, jac = spectral.full_square_jacobian(pt.u, nonlinearity, pt.mu,
-                                                    pt.d)
-        pt.unstable_count = spectral.eigencount_above(
-            jac, spectral.zero_band(u_full, nonlinearity, pt.mu, pt.d))
+        u_full = lattice.unfold(pt.u)
+        diag = nonlinearity.f_u(u_full.values, pt.mu)
+        pt.unstable_count = spectral.count_above(
+            u_full.grid, pt.d, diag, spectral.zero_band(diag, pt.d))
         if (prev is not None and pt.unstable_count != prev
                 and i not in near_event):
             raise MissedEvent(

@@ -158,26 +158,30 @@ def _band(grid):
                  np.bincount(rows[off], np.abs(lap.data[off]), grid.size))
 
 
-_solve_counts = contextvars.ContextVar("bordered_solve_counts", default=None)
+_stats = contextvars.ContextVar("stats", default=None)
 
 
 @contextlib.contextmanager
-def counting_bordered_solves():
-    """Count the bordered solves inside the block by path, and the banded
-    factorizations they share: a dict {"banded": k, "fallback": m,
-    "factorizations": f}, filled in as they happen."""
-    counts = {"banded": 0, "fallback": 0, "factorizations": 0}
-    token = _solve_counts.set(counts)
+def counting():
+    """Count inside the block, as they happen: the bordered solves by path
+    and the banded factorizations they share, and the inertia counts of
+    :func:`spectral.count_above` by path.  Yields {"bordered_solves":
+    {"banded": k, "fallback": m, "factorizations": f}, "inertia":
+    {"banded": k, "fallback": m}}."""
+    stats = {"bordered_solves": {"banded": 0, "fallback": 0,
+                                 "factorizations": 0},
+             "inertia": {"banded": 0, "fallback": 0}}
+    token = _stats.set(stats)
     try:
-        yield counts
+        yield stats
     finally:
-        _solve_counts.reset(token)
+        _stats.reset(token)
 
 
-def _count(key):
-    counts = _solve_counts.get()
-    if counts is not None:
-        counts[key] += 1
+def _count(group, key):
+    stats = _stats.get()
+    if stats is not None:
+        stats[group][key] += 1
 
 
 class BorderedLU:
@@ -193,7 +197,7 @@ class BorderedLU:
     (:func:`sparse_solve`), which raise :class:`SingularBorderedSystem`
     (:class:`SingularJacobian` without a border) on a singular matrix.
     Factorizations and solves are counted by
-    :func:`counting_bordered_solves`.
+    :func:`counting`.
     """
 
     # non-finite values fail the check and take the oracle, so need no
@@ -211,7 +215,7 @@ class BorderedLU:
         ab[:, kl + ku] += diag
         self.row_abs = abs(d) * self.band.off_abs + np.abs(ab[:, kl + ku])
         lu, piv, info = lapack.dgbtrf(ab.T, kl, ku, overwrite_ab=1)
-        _count("factorizations")
+        _count("bordered_solves", "factorizations")
         if info != 0:
             return
         self.factors = lu, piv
@@ -250,7 +254,7 @@ class BorderedLU:
 
     def solve(self, rhs):
         x = None if self.factors is None else self._checked_solve(rhs)
-        _count("banded" if x is not None else "fallback")
+        _count("bordered_solves", "banded" if x is not None else "fallback")
         if x is not None:
             return x
         return sparse_solve(
@@ -300,17 +304,20 @@ def fold_step(values, phi, c, grid, nonlinearity, mu, d, parameter, rhs):
     return np.concatenate([a + t * z, e1 + t * e2, [a_p + t * z_p]])
 
 
-def newton(residual, step, x0, done, max_iter, halvings=0):
+def newton(residual, step, x0, done, max_iter, halvings=0, max_growth=None):
     """Newton iteration x <- x + s dx with F = residual(x), dx = step(x, F).
 
     ``done(x, F)`` is tested before every step and after the last one.  With
     ``halvings`` > 0 the step length s runs through 1, 1/2, ..., 2**-halvings
     until the residual sup-norm decreases; with 0 every full step is taken.
-    Returns ``(x, F, steps)``.  A stall, a failed or non-finite step and an
-    exhausted cap raise :class:`NoConvergence` with the last iterate.
+    Returns ``(x, F, steps)``.  A stall, a failed or non-finite step, a
+    residual sup-norm above ``max_growth`` times the starting one (when
+    given) and an exhausted cap raise :class:`NoConvergence` with the last
+    iterate.
     """
     x, F = x0, residual(x0)
     norm = np.max(np.abs(F))
+    bound = np.inf if max_growth is None else max_growth * norm
     for it in range(max_iter + 1):
         if done(x, F):
             return x, F, it
@@ -332,6 +339,10 @@ def newton(residual, step, x0, done, max_iter, halvings=0):
         if not np.isfinite(trial_norm):
             raise NoConvergence("Newton step produced non-finite values",
                                 x, norm)
+        if trial_norm > bound:
+            raise NoConvergence(
+                f"residual diverged to {trial_norm:.3e} after {it + 1} steps",
+                x, norm)
         x, F, norm = trial, trial_F, trial_norm
     raise NoConvergence(
         f"no convergence in {max_iter} steps, |F|={norm:.3e}", x, norm)

@@ -1,10 +1,14 @@
 """Stability analysis on the unfolded full-square Neumann domain and on
 its symmetry blocks.
 
-Unstable-eigenvalue counts come from the inertia of the symmetric Jacobian,
-computed with a fill-reducing sparse LDL^T factorization (no eigensolve
-needed); when its pivots do not check out, a dense symmetric eigensolve
-counts instead, the oracle the property tests compare against.
+Unstable-eigenvalue counts come from the inertia of the Jacobian: on any
+orbit-space grid, :func:`count_above` factors J - threshold*I once with
+LAPACK's banded LU, on the band image of L the Newton corrector factors,
+and counts the positive pivots when the factorization made no row
+interchange and its pivots and growth check out.  Otherwise it declines to
+the oracle on the symmetric form: a fill-reducing sparse LDL^T
+(:func:`ldl_inertia`), and, when its pivots do not check out either, a
+dense symmetric eigensolve, which the property tests compare against.
 The Jacobian of a symmetric state is block diagonal over the D4 isotypic
 components (Dellnitz & Werner, J. Comput. Appl. Math. 26, 1989); each
 block is the Jacobian on an orbit-space grid (:func:`symmetric_block`),
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from . import lattice, solver
 
@@ -41,8 +46,8 @@ ISOTYPIC_TAGS = ("trivial", "sign1", "sign2", "sign3", "two_dim")
 # larger matrices use shift-invert Lanczos
 DENSE_EIG_MAX = 900
 
-# largest max|U| / max|A| that ldl_inertia trusts; the Jacobians of the
-# lattice problem stay below 10
+# largest max|U| / max|A| that ldl_inertia and count_above trust; the
+# Jacobians of the lattice problem stay below 10
 LDL_GROWTH_MAX = 1e6
 
 # eigenvalues within ZERO_TOL * max(1, d max|f_u|) of zero count as zero
@@ -99,6 +104,45 @@ def eigencount_above(matrix, threshold):
         return int(np.sum(np.linalg.eigvalsh(shifted.toarray()) > 0))
 
 
+def count_above(grid, d, diag, threshold):
+    """Number of eigenvalues of the Jacobian d*L + diag(diag) on the
+    orbit-space grid ``grid`` strictly above ``threshold``.
+
+    On every orbit-space grid J = W^(-1/2) S W^(1/2), with W the orbit
+    weights and S = :func:`lattice.symmetric_form` of J symmetric.  A
+    diagonal similarity keeps every leading principal minor, and the pivots
+    of elimination without row interchanges are ratios of those minors, so
+    J's pivots are the pivots of S = L D L^T, whose signs are S's inertia
+    (Sylvester's law).  One LAPACK dgbtrf of J - threshold*I, filled from
+    the grid's band image of L, gives the count as its number of positive
+    pivots when it made no row interchange (then U = D L^T up to the
+    similarity), every pivot exceeds 1e-14 max(max|A|, 1) in modulus and
+    max|U| / max|A| <= LDL_GROWTH_MAX.  Otherwise it declines to the oracle,
+    :func:`eigencount_above` on S.  Counts by path go to
+    :func:`solver.counting`.
+    """
+    band = solver._band(grid)
+    kl, ku = band.kl, band.ku
+    ab = d * band.image
+    ab[:, kl + ku] += diag - threshold
+    scale = np.max(np.abs(ab))
+    lu, piv, info = lapack.dgbtrf(ab.T, kl, ku, overwrite_ab=1)
+    pivots = lu[kl + ku]
+    if (info == 0 and np.array_equal(piv, np.arange(grid.size))
+            # a NaN pivot fails too
+            and np.min(np.abs(pivots)) > 1e-14 * max(scale, 1.0)
+            and np.max(np.abs(lu[kl:kl + ku + 1])) <= LDL_GROWTH_MAX * scale):
+        solver._count("inertia", "banded")
+        return int(np.sum(pivots > 0))
+    solver._count("inertia", "fallback")
+    return eigencount_above(_symmetric_jacobian(grid, d, diag), threshold)
+
+
+def _symmetric_jacobian(grid, d, diag):
+    return lattice.symmetric_form(solver.bordered_matrix(grid, d, diag),
+                                  lattice.orbit_weights(grid))
+
+
 # ---------------------------------------------------------------------------
 # spectrum reports
 
@@ -117,23 +161,29 @@ def full_square_jacobian(u_wedge, nonlinearity, mu, d):
     return u_full, jac.tocsr()
 
 
-def symmetric_block(u, nonlinearity, mu, d, grid):
-    """Symmetric form of the Jacobian at the state ``u`` restricted to the
-    orbit-space grid ``grid`` on the same window, whose group must fix
-    ``u``: the block of the full-square Jacobian on the fields of the
-    grid's symmetry type.  Its eigenvectors are fields on the grid times
-    the square roots of the orbit weights."""
+def block_diagonal(u, nonlinearity, mu, grid):
+    """f_u at the state ``u`` folded onto the orbit-space grid ``grid`` on
+    the same window, whose group must fix ``u``: the diagonal of the
+    Jacobian block d*L + diag(f_u) of the grid's symmetry type."""
     if not set(grid.group) <= set(lattice.isotropy(u)):
         raise ValueError(f"the state is not fixed by {grid.group}")
-    v = lattice.fold(lattice.unfold(u), grid)
-    return lattice.symmetric_form(solver.jacobian(v, nonlinearity, mu, d),
-                                  lattice.orbit_weights(grid))
+    return nonlinearity.f_u(lattice.fold(lattice.unfold(u), grid).values, mu)
 
 
-def zero_band(u_full, nonlinearity, mu, d):
-    """tau = ZERO_TOL * max(1, d * max|f_u|); (-tau, tau) counts as zero."""
-    return ZERO_TOL * max(1.0, abs(d) * float(np.max(np.abs(
-        nonlinearity.f_u(u_full.values, mu)))))
+def symmetric_block(u, nonlinearity, mu, d, grid):
+    """Symmetric form of the Jacobian at the state ``u`` restricted to the
+    orbit-space grid ``grid`` (see :func:`block_diagonal`): the block of the
+    full-square Jacobian on the fields of the grid's symmetry type.  Its
+    eigenvectors are fields on the grid times the square roots of the orbit
+    weights."""
+    return _symmetric_jacobian(grid, d,
+                               block_diagonal(u, nonlinearity, mu, grid))
+
+
+def zero_band(diag, d):
+    """tau = ZERO_TOL * max(1, d * max|diag|) for the Jacobian d*L +
+    diag(diag); (-tau, tau) counts as zero."""
+    return ZERO_TOL * max(1.0, abs(d) * float(np.max(np.abs(diag))))
 
 
 def unstable_count(u_wedge, nonlinearity, mu, d):
@@ -142,12 +192,13 @@ def unstable_count(u_wedge, nonlinearity, mu, d):
     ``n_unstable`` counts eigenvalues above +tau and ``n_zero`` those within
     (-tau, tau), with tau = ZERO_TOL * max(1, d * max|f_u|).
     """
-    u_full, jac = full_square_jacobian(u_wedge, nonlinearity, mu, d)
-    tau = zero_band(u_full, nonlinearity, mu, d)
-    n_above = eigencount_above(jac, tau)
-    return SpectrumReport(n_unstable=n_above,
-                          n_zero=eigencount_above(jac, -tau) - n_above,
-                          tau=tau)
+    u_full = lattice.unfold(u_wedge)
+    diag = nonlinearity.f_u(u_full.values, mu)
+    tau = zero_band(diag, d)
+    n_above = count_above(u_full.grid, d, diag, tau)
+    return SpectrumReport(
+        n_unstable=n_above,
+        n_zero=count_above(u_full.grid, d, diag, -tau) - n_above, tau=tau)
 
 
 def eigenpairs_near_zero(sym, k=1):

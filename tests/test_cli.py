@@ -35,6 +35,13 @@ class TestConfigValidation:
         rc = cli.main(["solve", "--config", cfg, "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_isola_mu_start_outside_window_is_config_error(self, tmp_path,
+                                                           capsys):
+        cfg = write_config(tmp_path, {"run": {"mu_start": 1.5}})
+        rc = cli.main(["isola", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_pattern_exceeding_domain_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "grid": {"N_d": 3},
@@ -152,6 +159,20 @@ class TestSnake:
         rc = cli.main(["snake", "--config", cfg, "--out", str(tmp_path)])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_stability_snake_counts_inertia_by_path(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {
+            "grid": {"N_d": 6},
+            "run": {"d": 1e-3, "max_folds": 2, "stability": True}})
+        assert cli.main(["snake", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "branch.csv") as fh:
+            n_points = len(list(csv.reader(fh))) - 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        inertia = manifest["stats"]["inertia"]
+        assert set(inertia) == {"banded", "fallback"}
+        assert inertia["banded"] > 0
+        assert inertia["banded"] + inertia["fallback"] >= n_points
 
 
 class TestOutputDirectory:

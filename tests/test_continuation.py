@@ -1,6 +1,8 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from snaklat import continuation as ct
 from snaklat import lattice, model, solver, studies
@@ -176,6 +178,23 @@ class TestSwitchBranch:
         assert asym > 1e-4
         res = solver.residual(pt.u, NL, pt.mu, pt.d)
         assert res.norm_inf() <= 1e-10
+
+    def test_diverging_attempts_stop_early(self):
+        # exactly at the fold the mh-plane direction leaves the pinned
+        # system without a nearby solution (the fan offsets mu for it): every
+        # amplitude's residual blows up on the first step, and the attempt
+        # ends there instead of after 40 steps
+        fold = studies.find_right_fold(NL, 3, 1, 1e-3, n_d=6)
+        psi = dict(studies.switch_directions(fold, NL))["two_dim_p0_mh"]
+        grid = replace(fold.u.grid, group=lattice.isotropy(psi),
+                       rep="trivial")
+        with solver.counting() as stats:
+            with pytest.raises(ct.NoConvergence):
+                ct.switch_branch(fold, lattice.fold(psi, grid), NL,
+                                 mu_offsets=(0.0,))
+        # five amplitudes, at most two solves each
+        assert sum(stats["bordered_solves"][k]
+                   for k in ("banded", "fallback")) <= 10
 
 
 class TestIsola:

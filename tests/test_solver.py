@@ -255,11 +255,12 @@ class TestBorderedSolve:
         # J = I is factored, but the Schur complement 1 - e0.e0 vanishes
         g = lattice.wedge(3, OFFSITE)
         e0 = np.eye(g.size)[0]
-        with solver.counting_bordered_solves() as counts:
+        with solver.counting() as stats:
             with pytest.raises(solver.SingularBorderedSystem):
                 solver.bordered_solve(g, 0.0, np.ones(g.size),
                                       np.ones(g.size + 1), e0, e0, 1.0)
-        assert counts == {"banded": 0, "fallback": 1, "factorizations": 1}
+        assert stats["bordered_solves"] == {"banded": 0, "fallback": 1,
+                                            "factorizations": 1}
 
 
 def random_grid(kind, symmetry, n_d):
@@ -341,9 +342,10 @@ class TestAssemblerProperties:
         dense = self.dense_fold_matrix(u, phi, phi, g, nl, fold.mu, fold.d,
                                        parameter)
         rhs = np.random.default_rng(5).standard_normal(dense.shape[0])
-        with solver.counting_bordered_solves() as counts:
+        with solver.counting() as stats:
             x = solver.fold_step(u, phi, phi, g, nl, fold.mu, fold.d,
                                  parameter, rhs)
+        counts = stats["bordered_solves"]
         assert counts["banded"] + counts["fallback"] == 4
         assert counts["factorizations"] == 1
         norm = np.max(np.sum(np.abs(dense), axis=1))
@@ -363,9 +365,10 @@ class TestAssemblerProperties:
         mu, d = 0.4, 0.03
         dense = self.dense_fold_matrix(u, phi, c, g, nl, mu, d, parameter)
         rhs = rng.standard_normal(dense.shape[0])
-        with solver.counting_bordered_solves() as counts:
+        with solver.counting() as stats:
             x = solver.fold_step(u, phi, c, g, nl, mu, d, parameter, rhs)
-        assert counts == {"banded": 0, "fallback": 4, "factorizations": 1}
+        assert stats["bordered_solves"] == {"banded": 0, "fallback": 4,
+                                            "factorizations": 1}
         ref = np.linalg.solve(dense, rhs)
         assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
 
@@ -429,9 +432,10 @@ class TestAssemblerProperties:
             return x * scale, info
 
         monkeypatch.setattr(lapack, "dgbtrs", dgbtrs)
-        with solver.counting_bordered_solves() as counts:
+        with solver.counting() as stats:
             x = solver.bordered_solve(g, 0.05, diag, rhs, *border)
-        return x, solver.bordered_matrix(g, 0.05, diag, *border), rhs, counts
+        return (x, solver.bordered_matrix(g, 0.05, diag, *border), rhs,
+                stats["bordered_solves"])
 
     def test_failed_check_returns_oracle(self, monkeypatch):
         # a 1e-4 error survives one refinement step as ~1e-8 and fails the

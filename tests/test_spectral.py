@@ -6,8 +6,10 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
-from snaklat import lattice, model, solver, spectral, studies
+from snaklat import (codim2, continuation, lattice, model, solver, spectral,
+                     studies)
 from snaklat.lattice import OFFSITE, ONSITE, Field
 from snaklat.model import PatternId, UBAR, VBAR, anti_continuum_pattern
 
@@ -88,6 +90,113 @@ class TestInertiaProperties:
         assert spectral.eigencount_above(a, threshold) == above
 
 
+def d4_state(n_d, symmetry, seed):
+    """A random D4-symmetric state: a field on the wedge."""
+    grid = lattice.wedge(n_d, symmetry)
+    return Field(grid, np.random.default_rng(seed).uniform(-0.3, 1.3,
+                                                          grid.size))
+
+
+def block_grid(state, kind):
+    """The full square, the wedge, a sign component or a mirror plane of
+    the two-dimensional representation on the state's window."""
+    grid = state.grid
+    if kind == "full":
+        return lattice.full_square(grid.half_width, grid.symmetry)
+    if kind in lattice.MIRROR_PLANES:
+        return lattice.GridSpec(grid.half_width, grid.symmetry,
+                                *lattice.MIRROR_PLANES[kind])
+    return replace(grid, rep=kind)
+
+
+def oracle_matrix(grid, d, diag):
+    return lattice.symmetric_form(solver.bordered_matrix(grid, d, diag),
+                                  lattice.orbit_weights(grid))
+
+
+class TestCountAbove:
+    @settings(max_examples=80, deadline=None)
+    @given(n_d=st.integers(2, 8), symmetry=st.sampled_from([OFFSITE, ONSITE]),
+           kind=st.sampled_from(["full", "trivial", *lattice.SIGN_REPS,
+                                 *lattice.MIRROR_PLANES]),
+           seed=st.integers(0, 2**32 - 1), mu=st.floats(0.05, 0.95),
+           d=st.floats(0.0, 0.2),
+           threshold=st.one_of(
+               st.sampled_from([0.0, codim2.NULLITY_TOL,
+                                -codim2.NULLITY_TOL]),
+               st.floats(-0.5, 0.5)))
+    def test_count_matches_eigvalsh_of_block(self, n_d, symmetry, kind, seed,
+                                             mu, d, threshold):
+        nl = model.cubic_quintic()
+        u = d4_state(n_d, symmetry, seed)
+        grid = block_grid(u, kind)
+        assume(grid.size > 0)  # some small sign components have no sites
+        ev = np.linalg.eigvalsh(
+            spectral.symmetric_block(u, nl, mu, d, grid).toarray())
+        # an eigenvalue on the threshold has no well-defined side
+        assume(np.min(np.abs(ev - threshold))
+               > 1e-8 * max(1.0, np.max(np.abs(ev))))
+        diag = spectral.block_diagonal(u, nl, mu, grid)
+        assert spectral.count_above(grid, d, diag, threshold) == int(
+            np.sum(ev > threshold))
+
+    def check_declines_to_oracle(self, grid, d, diag, threshold):
+        sym = oracle_matrix(grid, d, diag)
+        with solver.counting() as stats:
+            got = spectral.count_above(grid, d, diag, threshold)
+        assert stats["inertia"] == {"banded": 0, "fallback": 1}
+        assert got == spectral.eigencount_above(sym, threshold)
+        assert got == int(np.sum(np.linalg.eigvalsh(sym.toarray())
+                                 > threshold))
+
+    def test_row_interchange_declines_to_oracle(self):
+        # a diagonal of 0.1 against couplings of 1 and 2: partial pivoting
+        # swaps rows in the first column already
+        grid = lattice.wedge(4, OFFSITE)
+        diag = 0.1 - lattice.laplacian_matrix(grid).diagonal()
+        band = solver._band(grid)
+        ab = band.image.copy()
+        ab[:, band.kl + band.ku] += diag
+        _, piv, info = lapack.dgbtrf(ab.T, band.kl, band.ku)
+        assert info == 0 and not np.array_equal(piv, np.arange(grid.size))
+        self.check_declines_to_oracle(grid, 1.0, diag, 0.0)
+
+    @pytest.mark.parametrize("pivot", [0.0, 1e-20])
+    def test_pivot_breakdown_declines_to_oracle(self, pivot):
+        # at d = 0 the Jacobian is diag(f_u); f_u vanishes at one site
+        grid = lattice.wedge(4, OFFSITE)
+        diag = np.random.default_rng(3).uniform(-1.0, 1.0, grid.size)
+        diag[5] = pivot
+        self.check_declines_to_oracle(grid, 0.0, diag, 0.0)
+
+    def test_growth_bound_declines_to_oracle(self, monkeypatch):
+        monkeypatch.setattr(spectral, "LDL_GROWTH_MAX", 0.0)
+        u = d4_state(5, ONSITE, 8)
+        grid = block_grid(u, "sign3")
+        nl = model.cubic_quintic()
+        self.check_declines_to_oracle(
+            grid, 1e-2, spectral.block_diagonal(u, nl, 0.5, grid), 0.0)
+
+    def test_banded_count_builds_no_sparse_matrix(self, monkeypatch):
+        nl = model.cubic_quintic()
+        u = anti_continuum_pattern(PatternId(3, 1, UBAR, OFFSITE), 0.5, nl,
+                                   n_d=6)
+        grid = block_grid(u, "full")
+        diag = spectral.block_diagonal(u, nl, 0.5, grid)
+        want = int(np.sum(np.linalg.eigvalsh(
+            oracle_matrix(grid, 1e-3, diag).toarray()) > 0))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sparse path taken")
+
+        monkeypatch.setattr(solver, "bordered_matrix", refuse)
+        monkeypatch.setattr(lattice, "symmetric_form", refuse)
+        monkeypatch.setattr(spectral.spla, "splu", refuse)
+        with solver.counting() as stats:
+            assert spectral.count_above(grid, 1e-3, diag, 0.0) == want
+        assert stats["inertia"] == {"banded": 1, "fallback": 0}
+
+
 @pytest.fixture(scope="module")
 def small_snake():
     nl = model.cubic_quintic()
@@ -104,6 +213,22 @@ class TestUnstableCountProperties:
         ev = spectral.dense_spectrum(pt.u, nl, pt.mu, pt.d)
         assert rep.n_unstable == int(np.sum(ev > rep.tau))
         assert rep.n_zero == int(np.sum(np.abs(ev) < rep.tau))
+
+
+class TestTagStability:
+    def test_counts_match_the_sparse_oracle_at_every_point(self):
+        nl = model.cubic_quintic()
+        branch = studies.snake_branch(nl, 1e-3, n_d=8, max_folds=5)
+        with solver.counting() as stats:
+            continuation.tag_stability(branch, nl)
+        assert (stats["inertia"]["banded"] + stats["inertia"]["fallback"]
+                == len(branch.points))
+        assert stats["inertia"]["banded"] > 0
+        for pt in branch.points:
+            u_full, jac = spectral.full_square_jacobian(pt.u, nl, pt.mu,
+                                                        pt.d)
+            tau = spectral.zero_band(nl.f_u(u_full.values, pt.mu), pt.d)
+            assert pt.unstable_count == spectral.eigencount_above(jac, tau)
 
 
 class TestUnstableCount:
