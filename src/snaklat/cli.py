@@ -38,8 +38,7 @@ _KNOWN_KEYS = {
 
 _RUN_KEYS = {
     "solve": {"pattern", "mu", "d"},
-    "snake": {"d", "mu_start", "max_folds", "max_points", "stability",
-              "h_init", "h_max"},
+    "snake": {"d", "mu_start", "max_folds", "max_points", "stability"},
     "asym": {"d", "N", "M", "eps", "max_points"},
     "isola": {"d", "N", "mu_start", "max_points"},
     "cusp": {"N_range", "d_bracket"},
@@ -100,7 +99,9 @@ def _pattern(run, symmetry, n_d):
     return pattern
 
 
-def _check_width(N, n_d):
+def _check_width(N, n_d, M=1):
+    if not 1 <= M <= N:
+        raise ConfigError(f"need 1 <= M <= N, got (N, M) = ({N}, {M})")
     if N > n_d:
         raise ConfigError(f"pattern exceeds domain: N={N} > N_d={n_d}")
 
@@ -132,10 +133,7 @@ def _write_manifest(out_dir, cfg, seed, t0, outputs, stats):
     return path
 
 
-def cmd_solve(cfg, out_dir, seed):
-    nl = _nonlinearity(cfg)
-    n_d, symmetry = _grid_args(cfg)
-    run = cfg.get("run", {})
+def cmd_solve(nl, n_d, symmetry, run, out_dir, seed):
     pattern = _pattern(run, symmetry, n_d)
     mu = _check_mu(nl, "mu", float(run.get("mu", 0.5)))
     d = float(run.get("d", 0.0))
@@ -150,19 +148,18 @@ def cmd_solve(cfg, out_dir, seed):
     return [path]
 
 
-def cmd_snake(cfg, out_dir, seed):
-    nl = _nonlinearity(cfg)
-    n_d, symmetry = _grid_args(cfg)
-    run = cfg.get("run", {})
+def cmd_snake(nl, n_d, symmetry, run, out_dir, seed):
     d = float(run.get("d", 1e-3))
     mu_start = run.get("mu_start")  # default: the middle of the window
     if mu_start is not None:
         mu_start = _check_mu(nl, "mu_start", float(mu_start))
+    max_folds = int(run.get("max_folds", 19))
+    if max_folds < 1:
+        raise ConfigError(f"run.max_folds={max_folds} must be at least 1")
     branch = studies.snake_branch(
         nl, d, symmetry=symmetry, n_d=n_d, mu_start=mu_start,
-        max_folds=int(run.get("max_folds", 19)),
-        max_points=int(run.get("max_points", 20000)),
-        h_init=run.get("h_init"), h_max=run.get("h_max"))
+        max_folds=max_folds,
+        max_points=int(run.get("max_points", 20000)))
     if run.get("stability", True):
         continuation.tag_stability(branch, nl)
     folds = continuation.detect_and_refine_folds(branch, nl)
@@ -175,14 +172,11 @@ def cmd_snake(cfg, out_dir, seed):
     return [path]
 
 
-def cmd_asym(cfg, out_dir, seed):
-    nl = _nonlinearity(cfg)
-    n_d, symmetry = _grid_args(cfg)
-    run = cfg.get("run", {})
+def cmd_asym(nl, n_d, symmetry, run, out_dir, seed):
     d = float(run.get("d", 1e-3))
     N = int(run.get("N", 3))
     M = int(run.get("M", 1))
-    _check_width(N, n_d)
+    _check_width(N, n_d, M)
     fold = studies.find_right_fold(nl, N, M, d, symmetry=symmetry, n_d=n_d)
     lo, hi = nl.window
     results = studies.asymmetric_fan(
@@ -213,10 +207,7 @@ def cmd_asym(cfg, out_dir, seed):
     return written
 
 
-def cmd_isola(cfg, out_dir, seed):
-    nl = _nonlinearity(cfg)
-    n_d, symmetry = _grid_args(cfg)
-    run = cfg.get("run", {})
+def cmd_isola(nl, n_d, symmetry, run, out_dir, seed):
     d = float(run.get("d", 0.12))
     N = int(run.get("N", 4))
     _check_width(N, n_d)
@@ -235,19 +226,22 @@ def cmd_isola(cfg, out_dir, seed):
     return [path]
 
 
-def cmd_cusp(cfg, out_dir, seed):
-    nl = _nonlinearity(cfg)
-    n_d, symmetry = _grid_args(cfg)
-    run = cfg.get("run", {})
-    n_range = [int(n) for n in run.get("N_range", [4, 5, 6, 7])]
-    bracket = tuple(run.get("d_bracket", (0.04, 0.12)))
+def cmd_cusp(nl, n_d, symmetry, run, out_dir, seed):
+    try:
+        n_range = [int(n) for n in run.get("N_range", [4, 5, 6, 7])]
+        lo, hi = map(float, run.get("d_bracket", (0.04, 0.12)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid run.N_range or run.d_bracket: {exc}") \
+            from exc
+    if not 0 < lo < hi < np.inf:
+        raise ConfigError(f"run.d_bracket=[{lo}, {hi}] needs 0 < lo < hi")
     for N in n_range:
         if not 4 <= N <= 16:
             raise ConfigError(f"cusp pattern width N={N} outside [4, 16]")
         # every crossing also hunts the next-wider pattern
         _check_width(N + 1, n_d)
     points, fit = codim2.cusp_sequence(n_range, nl, n_d=n_d,
-                                       symmetry=symmetry, d_bracket=bracket)
+                                       symmetry=symmetry, d_bracket=(lo, hi))
     path = os.path.join(out_dir, "cusps.csv")
     with open(path, "w") as fh:
         fh.write("N,mu_N,d_N,nullity_check,converged\n")
@@ -259,13 +253,13 @@ def cmd_cusp(cfg, out_dir, seed):
     return [path]
 
 
-def cmd_simulate(cfg, out_dir, seed):
-    nl = _nonlinearity(cfg)
-    n_d, symmetry = _grid_args(cfg)
-    run = cfg.get("run", {})
+def cmd_simulate(nl, n_d, symmetry, run, out_dir, seed):
     pattern = _pattern(run, symmetry, n_d)
     mu = _check_mu(nl, "mu", float(run.get("mu", 0.5)))
     d = float(run.get("d", 1e-3))
+    t_end = float(run.get("t_end", 100.0))
+    if not t_end > 0:
+        raise ConfigError(f"run.t_end={t_end} must be positive")
     u = studies.prepared_state(nl, pattern, mu, d, n_d)
     amp = float(run.get("perturbation", 0.0))
     u0 = u.copy()
@@ -273,7 +267,7 @@ def cmd_simulate(cfg, out_dir, seed):
         rng = np.random.default_rng(seed)
         u0.values = u0.values + amp * rng.standard_normal(u0.grid.size)
     traj = dynamics.integrate(u0, nl, mu, d,
-                              t_end=float(run.get("t_end", 100.0)),
+                              t_end=t_end,
                               n_samples=int(run.get("samples", 101)),
                               reference=u)
     path = os.path.join(out_dir, "trajectory.csv")
@@ -281,8 +275,7 @@ def cmd_simulate(cfg, out_dir, seed):
     return [path]
 
 
-def cmd_reduced(cfg, out_dir, seed):
-    run = cfg.get("run", {})
+def cmd_reduced(nl, n_d, symmetry, run, out_dir, seed):
     wanted = run.get("system")
     systems = [wanted] if wanted else list(asymptotics.REDUCED_IDS)
     out = {}
@@ -297,16 +290,14 @@ def cmd_reduced(cfg, out_dir, seed):
     return [path]
 
 
-def cmd_verify_asym(cfg, out_dir, seed):
-    nl = _nonlinearity(cfg)
-    n_d, symmetry = _grid_args(cfg)
-    run = cfg.get("run", {})
+def cmd_verify_asym(nl, n_d, symmetry, run, out_dir, seed):
     ending = run.get("ending", asymptotics.PITCHFORK_INTERIOR)
     if ending not in asymptotics.ENDINGS:
         raise ConfigError(f"unknown ending {ending!r}")
     d_list = [float(x) for x in run.get("d_list", (1e-5, 1e-4, 1e-3))]
     N = int(run.get("N", 3))
     M = int(run.get("M", 1))
+    _check_width(N, n_d, M)
     side = asymptotics.ending_side(ending)
 
     def fold_finder(d):
@@ -358,7 +349,9 @@ def main(argv=None):
     os.makedirs(out_dir, exist_ok=True)
     try:
         with solver.counting() as stats:
-            outputs = _COMMANDS[args.command](cfg, out_dir, seed)
+            outputs = _COMMANDS[args.command](
+                _nonlinearity(cfg), *_grid_args(cfg), cfg.get("run", {}),
+                out_dir, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,5 @@
 """Cusp (switchback) sequence: where the fold curves of consecutive widths
-cross, and the component inertia that certifies each crossing.
+cross, and the component spectra that certify each crossing.
 
 At an isola-branch collision two folds meet at the same solution, and the
 two null vectors lie in different D4 isotypic components: one in the
@@ -24,26 +24,23 @@ NULLITY_TOL = 1e-4
 D_RESOLUTION = 2e-4
 GAP_NOISE = 1e-10
 
-NoConvergence = solver.NoConvergence
 
-
-def smallest_component_eig(u, nonlinearity, mu, d, rep):
-    """Eigenvalue of the rep-component Jacobian nearest zero."""
-    vals, _ = spectral.eigenpairs_near_zero(spectral.symmetric_block(
-        u, nonlinearity, mu, d, replace(u.grid, rep=rep)))
-    return float(vals[0])
-
-
-def component_nullities(u_wedge, nonlinearity, mu, d, rep):
-    """Counts of the eigenvalues within NULLITY_TOL of zero of the
-    trivial- and rep-component Jacobians (inertia of the shifted blocks by
-    :func:`spectral.count_above`)."""
-    counts = []
-    for grid in (replace(u_wedge.grid, rep=r) for r in ("trivial", rep)):
-        diag = spectral.block_diagonal(u_wedge, nonlinearity, mu, grid)
-        counts.append(spectral.count_above(grid, d, diag, -NULLITY_TOL)
-                      - spectral.count_above(grid, d, diag, NULLITY_TOL))
-    return tuple(counts)
+def null_certificate(u, nonlinearity, mu, d):
+    """Null-space split at a wedge state, from one values-only eigvalsh of
+    each of the trivial and sign-component Jacobian blocks: ``rep``, the
+    sign component with the eigenvalue nearest zero; ``null_floor``, that
+    eigenvalue's modulus; ``nullities``, each block's number of eigenvalues
+    within NULLITY_TOL of zero; ``nullity_check``, whether the trivial and
+    the rep block have one each."""
+    moduli = {rep: np.sort(np.abs(np.linalg.eigvalsh(spectral.symmetric_block(
+        u, nonlinearity, mu, d, replace(u.grid, rep=rep)).toarray())))
+        for rep in ("trivial",) + lattice.SIGN_REPS}
+    nullities = {rep: int(np.sum(m < NULLITY_TOL))
+                 for rep, m in moduli.items()}
+    rep = min(lattice.SIGN_REPS, key=lambda r: moduli[r][0])
+    return {"rep": rep, "null_floor": float(moduli[rep][0]),
+            "nullity_check": nullities["trivial"] == nullities[rep] == 1,
+            "nullities": nullities}
 
 
 def fold_curve_crossing(nonlinearity, N, n_d, symmetry=lattice.OFFSITE,
@@ -75,31 +72,28 @@ def fold_curve_crossing(nonlinearity, N, n_d, symmetry=lattice.OFFSITE,
         return folds[width, d]
 
     def gap(d):
-        fa = right_fold(N, d)
-        return right_fold(N + 1, d).mu - fa.mu, fa
+        mu_n = right_fold(N, d).mu
+        return right_fold(N + 1, d).mu - mu_n
 
     a, b = d_bracket
-    ga, fold_a = gap(a)
-    if ga < -GAP_NOISE:
-        raise NoConvergence(
+    if gap(a) < -GAP_NOISE:
+        raise solver.NoConvergence(
             f"lower bracket d={a} already past the ({N},1)/({N + 1},1) "
             f"fold-curve crossing"
         )
-    gb, fold_b = gap(b)
+    gb = gap(b)
     while gb > -GAP_NOISE and b < 0.3:
         b += 0.04
-        gb, fold_b = gap(b)
+        gb = gap(b)
     if gb > -GAP_NOISE:
-        raise NoConvergence(
+        raise solver.NoConvergence(
             f"fold curves of ({N},1) and ({N + 1},1) do not cross in "
             f"[{a}, {b}]"
         )
-    fold = fold_b
     while b - a > D_RESOLUTION:
         mid = 0.5 * (a + b)
-        g_mid, fold_mid = gap(mid)
-        if g_mid < -GAP_NOISE:
-            b, fold = mid, fold_mid
+        if gap(mid) < -GAP_NOISE:
+            b = mid
         else:
             a = mid
     d_star = 0.5 * (a + b)
@@ -114,11 +108,10 @@ def cusp_sequence(n_range, nonlinearity, n_d=25, symmetry=lattice.OFFSITE,
     Each collision sits where the rightmost-fold curve of u-bar(N,1) is
     crossed by that of the next-wider pattern; the crossing is bisected on
     the sign of the fold gap (:func:`fold_curve_crossing`, one table of
-    fold hunts shared by every width).  At the fold it returns, ``rep`` is
-    the sign component whose eigenvalue is nearest zero, ``null_floor``
-    that eigenvalue's modulus, and ``nullity_check`` whether the trivial
-    and the rep component each have exactly one eigenvalue within
-    NULLITY_TOL of zero (a two-dimensional null space split across them).
+    fold hunts shared by every width).  At the fold it returns, each entry
+    carries :func:`null_certificate`: ``nullity_check`` holds when the null
+    space is two-dimensional and split between the symmetric component
+    and the sign component ``rep``.
     Returns ``(points, fit)`` where points is a list of per-N dicts and fit
     carries the geometric extrapolation (mu_inf, d_inf, rho).
     Per-N failures are recorded and skipped.
@@ -133,15 +126,9 @@ def cusp_sequence(n_range, nonlinearity, n_d=25, symmetry=lattice.OFFSITE,
             d_star, mu_star, fold = fold_curve_crossing(
                 nonlinearity, N, n_d, symmetry=symmetry, d_bracket=d_bracket,
                 folds=folds)
-            entry.update({"mu": mu_star, "d": d_star, "converged": True})
-            eigs = {r: abs(smallest_component_eig(
-                fold.u, nonlinearity, fold.mu, fold.d, r))
-                for r in lattice.SIGN_REPS}
-            rep = min(lattice.SIGN_REPS, key=eigs.get)
-            entry.update({"rep": rep, "null_floor": eigs[rep],
-                          "nullity_check": component_nullities(
-                              fold.u, nonlinearity, fold.mu, fold.d,
-                              rep) == (1, 1)})
+            entry.update(null_certificate(fold.u, nonlinearity, fold.mu,
+                                          fold.d),
+                         mu=mu_star, d=d_star, converged=True)
         except solver.SolverError as exc:
             entry["error"] = str(exc)
         points.append(entry)

@@ -46,6 +46,8 @@ FAST_ITERS = 3
 SLOW_ITERS = 7
 CORRECTOR_TOL = 1e-10
 MAX_CORRECTOR_ITERS = 10
+# first step length
+H_INIT = 1e-3
 # smallest step length; a branch whose step falls below it ends
 H_MIN = 1e-7
 # a closed loop returns to its start with the tangent aligned to this, after
@@ -70,7 +72,6 @@ SWITCH_MAX_GROWTH = 1e6
 
 @dataclass
 class StepConfig:
-    h_init: float = 1e-3
     h_max: float = 0.05
     max_points: int = 2000
     detect_closure: bool = False
@@ -199,7 +200,7 @@ def continue_branch(u0, nonlinearity, mu, d, parameter="mu",
         vals0 = start_field.values
 
     # first tangent from a small natural-parameter step
-    dp = direction * max(cfg.h_init, 10 * H_MIN)
+    dp = direction * H_INIT
     nat = None
     for _ in range(12):
         mu_t, d_t = _pair(parameter, p0 + dp, fixed)
@@ -218,7 +219,7 @@ def continue_branch(u0, nonlinearity, mu, d, parameter="mu",
     branch.events.append((0, START))
     branch.points.append(_make_point(vals0, grid, mu, d, tangent=t))
 
-    h = cfg.h_init
+    h = H_INIT
     folds_seen = 0
     last_fold_index = None
     x = x0 = np.concatenate([vals0, [p0]])

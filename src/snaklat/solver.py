@@ -272,8 +272,8 @@ def bordered_solve(grid, d, diag, rhs, b=None, c=None, delta=None):
 def fold_step(values, phi, c, grid, nonlinearity, mu, d, parameter, rhs):
     """Newton step of the fold system {F = 0, J phi = 0, <c, phi> = 1}.
 
-    Solves [[J, 0, F_p], [H, J, (J phi)_p], [0, c^T, 0]] x = rhs in the
-    unknowns (u, phi, p), H = diag(f_uu phi), by four solves with one
+    Solves A x = rhs, A = [[J, 0, F_p], [H, J, (J phi)_p], [0, c^T, 0]] in
+    the unknowns (u, phi, p), H = diag(f_uu phi), by four solves with one
     :class:`BorderedLU` of B = [[J, F_p], [c^T, 0]], which is nonsingular
     at a nondegenerate fold (Govaerts, *Numerical Methods for Bifurcations
     of Dynamical Equilibria*, SIAM 2000, ch. 3): (a, a_p) solves the F rows,
@@ -281,12 +281,16 @@ def fold_step(values, phi, c, grid, nonlinearity, mu, d, parameter, rhs):
     is fixed by asking the phi rows' solutions e_1 + t e_2 to need no F_p
     component.  That component, s_1 + t s_2, has s_2 = 0 exactly where the
     fold system is singular, which raises :class:`SingularBorderedSystem`.
+    The solves are backward stable for B, not for A: an answer that fails
+    :func:`_backward_error_ok` on A (B much worse conditioned than A) is
+    refined once by four more solves on its residual.
     """
     n = grid.size
     diag = nonlinearity.f_u(values, mu)
     f_p = parameter_column(values, grid, nonlinearity, mu, d, parameter)
+    lap = lattice.laplacian_matrix(grid)
     jphi_p = (nonlinearity.f_umu(values, mu) * phi if parameter == "mu"
-              else lattice.laplacian_matrix(grid) @ phi)
+              else lap @ phi)
     h = nonlinearity.f_uu(values, mu) * phi
     lu = BorderedLU(grid, d, diag, f_p, c, 0.0)
 
@@ -294,14 +298,29 @@ def fold_step(values, phi, c, grid, nonlinearity, mu, d, parameter, rhs):
         x = lu.solve(np.append(top, last))
         return x[:n], x[n]
 
-    a, a_p = solve(rhs[:n], 0.0)
-    z, z_p = solve(np.zeros(n), 1.0)
-    e1, s1 = solve(rhs[n:2 * n] - h * a - jphi_p * a_p, rhs[-1])
-    e2, s2 = solve(-(h * z + jphi_p * z_p), 0.0)
-    if s2 == 0:  # bordered_solve returns only finite solutions
-        raise SingularBorderedSystem("fold system is singular")
-    t = -s1 / s2
-    return np.concatenate([a + t * z, e1 + t * e2, [a_p + t * z_p]])
+    def step(r):
+        a, a_p = solve(r[:n], 0.0)
+        z, z_p = solve(np.zeros(n), 1.0)
+        e1, s1 = solve(r[n:2 * n] - h * a - jphi_p * a_p, r[-1])
+        e2, s2 = solve(-(h * z + jphi_p * z_p), 0.0)
+        if s2 == 0:  # bordered_solve returns only finite solutions
+            raise SingularBorderedSystem("fold system is singular")
+        t = -s1 / s2
+        return np.concatenate([a + t * z, e1 + t * e2, [a_p + t * z_p]])
+
+    def residual(x):  # A x - rhs
+        v, w, p = x[:n], x[n:2 * n], x[-1]
+        return np.concatenate([d * (lap @ v) + diag * v + f_p * p,
+                               h * v + d * (lap @ w) + diag * w + jphi_p * p,
+                               [c @ w]]) - rhs
+
+    x = step(rhs)
+    j_abs = abs(d) * _band(grid).off_abs + np.abs(d * lap.diagonal() + diag)
+    row_abs = np.concatenate([j_abs + np.abs(f_p), np.abs(h) + j_abs
+                              + np.abs(jphi_p), [np.sum(np.abs(c))]])
+    if not _backward_error_ok(residual(x), row_abs, x, rhs):
+        x = x - step(residual(x))
+    return x
 
 
 def newton(residual, step, x0, done, max_iter, halvings=0, max_growth=None):

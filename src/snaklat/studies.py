@@ -138,7 +138,7 @@ def _first_fold(u, nonlinearity, mu_start, d, band, cap, direction, p_bounds,
 
 
 def snake_branch(nonlinearity, d, symmetry=OFFSITE, n_d=20, mu_start=None,
-                 max_folds=19, max_points=20000, h_init=None, h_max=None):
+                 max_folds=19, max_points=20000):
     """Trace the primary snaking branch upward through ``max_folds`` folds.
 
     Starts on the v-bar(1,1) segment at ``mu_start`` (by default the middle
@@ -163,10 +163,6 @@ def snake_branch(nonlinearity, d, symmetry=OFFSITE, n_d=20, mu_start=None,
                        mu_start, d, n_d)
     cfg = StepConfig(stop_after_folds=max_folds, max_points=max_points,
                      refine_bands=bands)
-    if h_init is not None:
-        cfg.h_init = float(h_init)
-    if h_max is not None:
-        cfg.h_max = float(h_max)
     return continuation.continue_branch(
         u, nonlinearity, mu_start, d, parameter="mu", config=cfg,
         direction=+1.0, p_bounds=(lo - 2.0 * lo_scale, hi + hi_scale))

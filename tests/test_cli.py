@@ -77,6 +77,34 @@ class TestConfigValidation:
         assert rc == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, run, message", [
+        ("cusp", {"d_bracket": [0.04]}, "d_bracket"),
+        ("cusp", {"d_bracket": "abc"}, "d_bracket"),
+        ("cusp", {"d_bracket": [0.0, 0.12]}, "d_bracket"),
+        ("cusp", {"d_bracket": [-0.01, 0.12]}, "d_bracket"),
+        ("cusp", {"d_bracket": [0.12, 0.04]}, "d_bracket"),
+        ("cusp", {"N_range": ["x"]}, "N_range"),
+        ("asym", {"N": 3, "M": 4}, "1 <= M <= N"),
+        ("verify-asym", {"N": 2, "M": 3}, "1 <= M <= N"),
+        ("snake", {"max_folds": 0}, "max_folds"),
+        ("snake", {"max_folds": -1}, "max_folds"),
+        ("simulate", {"pattern": {"N": 2, "M": 1}, "t_end": -1}, "t_end"),
+    ])
+    def test_invalid_run_value_is_config_error(self, tmp_path, capsys,
+                                               command, run, message):
+        cfg = write_config(tmp_path, {"grid": {"N_d": 8}, "run": run})
+        rc = cli.main([command, "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+
+    def test_snake_step_lengths_are_unknown_keys(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"run": {"h_init": 1e-3, "h_max": 0.05}})
+        rc = cli.main(["snake", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "unknown config key(s) ['h_init', 'h_max']" in (
+            capsys.readouterr().err)
+
 
 class TestSolve:
     def test_decoupled_solve_matches_pattern_exactly(self, tmp_path):

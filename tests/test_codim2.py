@@ -94,20 +94,34 @@ class TestCharacterLaplacian:
             assert others < 1e-12
 
 
-def component_eigs(fold, rep, k):
-    """The k eigenvalues of the rep-component Jacobian at a fold nearest
-    zero, nearest first."""
-    vals, _ = spectral.eigenpairs_near_zero(spectral.symmetric_block(
-        fold.u, NL, fold.mu, fold.d, replace(fold.u.grid, rep=rep)), k)
-    return vals
+def assert_nullities_match_spectra(cert, blocks):
+    # on every block the certificate counts the eigenvalues within
+    # NULLITY_TOL of zero that a dense eigensolve of the block finds
+    for rep, count in cert["nullities"].items():
+        assert count == int(np.sum(np.abs(blocks[rep]) < codim2.NULLITY_TOL))
 
 
 class TestComponentNullities:
     def test_plain_fold_has_no_sign_null_direction(self):
         # a generic fold's null space is one-dimensional and symmetric
         fold = studies.find_right_fold(NL, 3, 1, 0.01, n_d=8)
-        assert codim2.component_nullities(fold.u, NL, fold.mu, fold.d,
-                                          "sign1") == (1, 0)
+        cert = codim2.null_certificate(fold.u, NL, fold.mu, fold.d)
+        nullities = cert["nullities"]
+        assert (nullities["trivial"], nullities["sign1"]) == (1, 0)
+        assert_nullities_match_spectra(
+            cert, block_spectra(fold.u, fold.mu, fold.d))
+
+    def test_regular_state_fails_the_check(self):
+        # a prepared pattern inside the window is far from any fold: no
+        # near-zero trivial eigenvalue
+        lo, hi = NL.window
+        mu, d = 0.5 * (lo + hi), 0.01
+        u = studies.prepared_state(NL, model.PatternId(4, 1, model.UBAR,
+                                                       OFFSITE), mu, d, 8)
+        cert = codim2.null_certificate(u, NL, mu, d)
+        assert cert["nullities"]["trivial"] == 0
+        assert not cert["nullity_check"]
+        assert_nullities_match_spectra(cert, block_spectra(u, mu, d))
 
     @pytest.mark.slow
     def test_crossing_fold_n4(self, monkeypatch):
@@ -124,14 +138,16 @@ class TestComponentNullities:
         assert 0.06 < d_star < 0.09
         assert 0.86 < mu_star < 0.91
         assert entry["nullity_check"]
-        assert codim2.component_nullities(fold.u, NL, fold.mu, fold.d,
-                                          entry["rep"]) == (1, 1)
+        nullities = entry["nullities"]
+        assert (nullities["trivial"], nullities[entry["rep"]]) == (1, 1)
+        blocks = block_spectra(fold.u, fold.mu, fold.d)
+        assert_nullities_match_spectra(entry, blocks)
         # the null eigenvalue and the next one in each component sit more
         # than ten times from the tolerance on either side
         assert entry["null_floor"] < codim2.NULLITY_TOL / 10
         for rep in ("trivial", entry["rep"]):
-            second = component_eigs(fold, rep, 2)[1]
-            assert abs(second) > 10 * codim2.NULLITY_TOL
+            second = np.sort(np.abs(blocks[rep]))[1]
+            assert second > 10 * codim2.NULLITY_TOL
 
 
 def same_fold(a, b):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
@@ -263,6 +263,12 @@ class TestBorderedSolve:
                                             "factorizations": 1}
 
 
+def assert_small_backward_error(a, x, b):
+    norm = np.max(np.sum(np.abs(a), axis=1))
+    assert (np.max(np.abs(a @ x - b))
+            <= 1e-12 * (norm * np.max(np.abs(x)) + np.max(np.abs(b))))
+
+
 def random_grid(kind, symmetry, n_d):
     if kind == "wedge":
         return lattice.wedge(n_d, symmetry)
@@ -319,6 +325,12 @@ class TestAssemblerProperties:
            symmetry=st.sampled_from([OFFSITE, ONSITE]),
            n_d=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
            parameter=st.sampled_from(["mu", "d"]))
+    # cond 3e5: forward error 2.2e-10, backward error 8.5e-14
+    @example(kind="wedge", symmetry=OFFSITE, n_d=8, seed=6981,
+             parameter="mu")
+    # cond 6.9e3 but B's is 3.8e6: backward error 1.9e-8 before the
+    # refinement
+    @example(kind="full", symmetry=OFFSITE, n_d=2, seed=1, parameter="mu")
     def test_fold_step_matches_dense_solve(self, kind, symmetry, n_d, seed,
                                            parameter):
         nl = model.cubic_quintic()
@@ -330,8 +342,8 @@ class TestAssemblerProperties:
         assume(np.linalg.cond(dense) < 1e8)
         rhs = rng.standard_normal(dense.shape[0])
         x = solver.fold_step(u, phi, c, g, nl, mu, d, parameter, rhs)
-        ref = np.linalg.solve(dense, rhs)
-        assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+        # fold_step is backward stable; its forward error grows with cond
+        assert_small_backward_error(dense, x, rhs)
 
     @pytest.mark.parametrize("parameter", ["mu", "d"])
     def test_fold_step_at_a_refined_fold(self, parameter):
@@ -348,15 +360,15 @@ class TestAssemblerProperties:
         counts = stats["bordered_solves"]
         assert counts["banded"] + counts["fallback"] == 4
         assert counts["factorizations"] == 1
-        norm = np.max(np.sum(np.abs(dense), axis=1))
-        assert (np.max(np.abs(dense @ x - rhs))
-                <= 1e-12 * (norm * np.max(np.abs(x)) + np.max(np.abs(rhs))))
+        assert_small_backward_error(dense, x, rhs)
 
     @pytest.mark.parametrize("parameter", ["mu", "d"])
     def test_fold_step_falls_back_per_solve_on_one_factorization(
             self, monkeypatch, parameter):
         # with a zero bound every banded check fails, so each of the four
-        # right-hand sides of the one factorization takes splu's path
+        # right-hand sides of the one factorization takes splu's path; the
+        # fold system's own check fails too, and its refinement takes four
+        # more
         monkeypatch.setattr(solver, "BACKWARD_ERROR_MAX", 0.0)
         nl = model.cubic_quintic()
         g = lattice.wedge(6, OFFSITE)
@@ -367,7 +379,7 @@ class TestAssemblerProperties:
         rhs = rng.standard_normal(dense.shape[0])
         with solver.counting() as stats:
             x = solver.fold_step(u, phi, c, g, nl, mu, d, parameter, rhs)
-        assert stats["bordered_solves"] == {"banded": 0, "fallback": 4,
+        assert stats["bordered_solves"] == {"banded": 0, "fallback": 8,
                                             "factorizations": 1}
         ref = np.linalg.solve(dense, rhs)
         assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
